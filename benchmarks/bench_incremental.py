@@ -28,7 +28,6 @@ from repro.runtime import (
     RelevanceOracle,
     RetryPolicy,
     RuntimeMetrics,
-    SharedVerdictStore,
 )
 from repro.sources import build_bank_scenario
 from repro.workloads import (
@@ -43,9 +42,8 @@ def _smoke() -> bool:
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
-def _run_guided(scenario_mediator, query, metrics: RuntimeMetrics, schema):
-    oracle = RelevanceOracle(query, schema, metrics=metrics)
-    return relevance_guided_strategy(scenario_mediator, query, oracle=oracle)
+def _run_guided(scenario_mediator, query, metrics: RuntimeMetrics):
+    return relevance_guided_strategy(scenario_mediator, query, metrics=metrics)
 
 
 def _reuse_counts(metrics: RuntimeMetrics) -> dict:
@@ -88,7 +86,7 @@ def test_incremental_reuse_across_shapes(benchmark, shaped):
 
     def run():
         metrics.reset()
-        return _run_guided(shaped.mediator(), shaped.query, metrics, shaped.schema)
+        return _run_guided(shaped.mediator(), shaped.query, metrics)
 
     result = benchmark(run)
     exhaustive = exhaustive_strategy(shaped.mediator(), shaped.query)
@@ -114,7 +112,7 @@ def test_incremental_reuse_on_bank(benchmark):
 
     def run():
         metrics.reset()
-        return _run_guided(bank.mediator(), bank.query, metrics, bank.schema)
+        return _run_guided(bank.mediator(), bank.query, metrics)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.boolean_answer == exhaustive.boolean_answer
@@ -126,13 +124,14 @@ def test_incremental_reuse_on_bank(benchmark):
 
 @pytest.mark.experiment("INC-certainty-delta")
 def test_certainty_delta_guided_bank(benchmark):
-    """Acceptance gate for the delta-driven certainty engine: on the guided
-    bank run, advancing the per-query fixpoint by each batch's facts must
-    cut the total ``is_certain`` evaluation time (the ``oracle.certain``
-    timer) at least 3× against the fingerprint-memo baseline
-    (``certainty_fixpoint=False`` — LRU hits on repeated fingerprints, a
-    from-scratch evaluation at every new one), with identical answers, and
-    the delta path must actually fire (``certainty.advanced`` > 0)."""
+    """Acceptance gate for the delta-driven certainty engine: replaying a
+    guided bank run's accesses in order, advancing the query's fixpoint by
+    each response must cut the total ``is_certain`` evaluation time (the
+    ``oracle.certain`` timer) at least 3× against the fingerprint-memo
+    baseline (``certainty_fixpoint=False`` — LRU hits on repeated
+    fingerprints, a from-scratch evaluation at every new one), with
+    identical verdicts after every access, and the delta path must actually
+    fire (``certainty.advanced`` > 0)."""
     if _smoke():
         bank = build_bank_scenario(
             employees=3, offices=2, states=2, known_employees=1
@@ -141,8 +140,11 @@ def test_certainty_delta_guided_bank(benchmark):
         bank = build_bank_scenario(
             employees=6, offices=3, states=3, known_employees=2
         )
+    guided_mediator = bank.mediator()
+    result = relevance_guided_strategy(guided_mediator, bank.query)
+    accesses = [access for access, _tuples in guided_mediator.access_log]
 
-    def run_guided(certainty_fixpoint: bool):
+    def replay(certainty_fixpoint: bool):
         metrics = RuntimeMetrics()
         oracle = RelevanceOracle(
             bank.query,
@@ -150,23 +152,35 @@ def test_certainty_delta_guided_bank(benchmark):
             metrics=metrics,
             certainty_fixpoint=certainty_fixpoint,
         )
-        result = relevance_guided_strategy(
-            bank.mediator(), bank.query, oracle=oracle
-        )
-        return result, metrics
+        mediator = bank.mediator()
+        verdicts = []
+        for access in accesses:
+            oracle.absorb_response(mediator.perform(access))
+            verdicts.append(oracle.is_certain(mediator.configuration_view))
+        return verdicts, metrics
 
-    baseline_result, baseline_metrics = run_guided(False)
-    baseline_certain_s = baseline_metrics.elapsed("oracle.certain")
-
-    result, metrics = benchmark.pedantic(
-        lambda: run_guided(True), rounds=1, iterations=1
+    baseline_verdicts, _metrics = replay(False)
+    verdicts, metrics = benchmark.pedantic(
+        lambda: replay(True), rounds=1, iterations=1
     )
-    assert result.boolean_answer == baseline_result.boolean_answer
-    assert result.answers == baseline_result.answers
+    assert verdicts == baseline_verdicts
+    assert verdicts[-1] == result.boolean_answer
+
+    def best_certain_s(certainty_fixpoint: bool) -> float:
+        """The lowest ``oracle.certain`` total over three replays: a replay
+        times only a dozen sub-millisecond evaluations, so one sample is
+        mostly noise."""
+        best = float("inf")
+        for _ in range(3):
+            replayed, replay_metrics = replay(certainty_fixpoint)
+            assert replayed == baseline_verdicts
+            best = min(best, replay_metrics.elapsed("oracle.certain"))
+        return best
 
     counters = metrics.snapshot()["counters"]
     assert counters.get("certainty.advanced", 0) > 0, counters
-    delta_certain_s = max(metrics.elapsed("oracle.certain"), 1e-9)
+    baseline_certain_s = best_certain_s(False)
+    delta_certain_s = max(best_certain_s(True), 1e-9)
     ratio = baseline_certain_s / delta_certain_s
     assert ratio >= 3.0, (
         f"delta-driven certainty only {ratio:.1f}x faster "
@@ -174,6 +188,7 @@ def test_certainty_delta_guided_bank(benchmark):
     )
     benchmark.extra_info.update(
         {
+            "accesses": len(accesses),
             "baseline_certain_ms": round(baseline_certain_s * 1000, 3),
             "delta_certain_ms": round(delta_certain_s * 1000, 3),
             "certain_speedup": round(ratio, 1),
@@ -261,32 +276,6 @@ def test_parallel_latency_speedup_at_8_workers():
         f"8-worker run only {speedup:.1f}x faster "
         f"({sequential_wall * 1000:.0f}ms -> {parallel_wall * 1000:.0f}ms)"
     )
-
-
-@pytest.mark.experiment("PAR-shared-store")
-def test_shared_store_amortises_searches_across_runs(benchmark):
-    """Repeated guided runs over one (query, schema) pool their LTR history
-    and witnesses through a SharedVerdictStore: later runs revalidate
-    instead of searching afresh."""
-    scenario = fanout_scenario(4, mids=2)
-    store = SharedVerdictStore(scenario.query, scenario.schema)
-    first = relevance_guided_strategy(scenario.mediator(), scenario.query, store=store)
-
-    def run():
-        metrics = RuntimeMetrics()
-        oracle = RelevanceOracle(
-            scenario.query, scenario.schema, metrics=metrics, store=store
-        )
-        result = relevance_guided_strategy(
-            scenario.mediator(), scenario.query, oracle=oracle
-        )
-        return result, metrics
-
-    result, metrics = benchmark(run)
-    assert result.answers == first.answers
-    counts = _reuse_counts(metrics)
-    assert counts["revalidated"] + counts["delta_hits"] > 0, counts
-    benchmark.extra_info.update(counts)
 
 
 @pytest.mark.experiment("INC-engine-delta")

@@ -63,7 +63,6 @@ from repro.queries import (
 )
 from repro.runtime import (
     AccessExecutor,
-    MultiQueryMediator,
     PersistentWitnessCache,
     ProcessRelevancePool,
     QueryOutcome,
@@ -134,7 +133,6 @@ __all__ = [
     "ltr_to_containment",
     # runtime
     "AccessExecutor",
-    "MultiQueryMediator",
     "PersistentWitnessCache",
     "ProcessRelevancePool",
     "QueryOutcome",

@@ -17,8 +17,8 @@ needs around the paper's decision procedures:
 * :class:`~repro.runtime.executor.AccessExecutor` — deduplicating, batched
   access execution against a :class:`~repro.sources.service.Mediator`, with
   ``max_concurrency`` overlapping a batch's source latency;
-* :mod:`~repro.runtime.shards` — lock-protected and sharded LRU caches plus
-  the :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
+* :mod:`~repro.runtime.shards` — the lock-protected LRU cache plus the
+  :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
   history and witnesses across oracles for one (query, schema);
 * :class:`~repro.runtime.procpool.ProcessRelevancePool` — ships CPU-bound
   LTR/certainty searches to worker processes (the thread pool above only
@@ -81,9 +81,9 @@ from repro.runtime.retry import (
     RetryPolicy,
 )
 from repro.runtime.screening import CandidateScreen, relevant_relation_closure
-from repro.runtime.server import MultiQueryMediator, QueryOutcome, QueryServer, ServerResult
+from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
-from repro.runtime.shards import ShardedLRUCache, SharedVerdictStore
+from repro.runtime.shards import SharedVerdictStore
 from repro.runtime.storage import (
     CompactionResult,
     JsonlWitnessStore,
@@ -123,7 +123,6 @@ __all__ = [
     "LRUCache",
     "LatencyHistogram",
     "LtrWitness",
-    "MultiQueryMediator",
     "NO_TRACER",
     "NullTracer",
     "PersistentWitnessCache",
@@ -135,7 +134,6 @@ __all__ = [
     "RuntimeMetrics",
     "ServerResult",
     "ServiceHandle",
-    "ShardedLRUCache",
     "SharedVerdictStore",
     "Span",
     "SqliteWitnessStore",

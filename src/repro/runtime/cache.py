@@ -29,7 +29,7 @@ Two optional attachments extend the oracle beyond one process:
 
 * a :class:`~repro.runtime.procpool.ProcessRelevancePool` (``pool=``) lets a
   caller *prefetch* a batch of LTR verdicts on worker processes
-  (:meth:`RelevanceOracle.prefetch_long_term`): the misses that would
+  (:meth:`RelevanceOracle.begin_prefetch_long_term`): the misses that would
   otherwise each run a fresh CPU-bound search on this thread are searched
   concurrently, their verdicts and witness paths merged back into the cache;
 * a :class:`~repro.runtime.persist.PersistentWitnessCache` (``persist=``, or
@@ -38,36 +38,27 @@ Two optional attachments extend the oracle beyond one process:
   a warm restart revalidates instead of searching — and records every newly
   captured path.
 
-Concurrency: every cache the oracle reads or writes is an
-:class:`~repro.runtime.shards.LRUCache` (lock-protected) or a
-:class:`~repro.runtime.shards.ShardedLRUCache` (per-shard locks keyed by
-``hash(key) % n_shards``).  Within one answering run all oracle calls stay
-on the strategy's dispatching thread (see the mediator's concurrency notes);
-the locks and sharding matter for the *cross-run* surfaces — oracles in
-concurrent answering threads pooling a :class:`SharedVerdictStore`, or any
-caller probing one oracle from several threads — where they prevent
-corruption and keep unrelated access keys from serialising on one dict.
-Verdicts are deterministic functions of configuration content; two threads
-racing on the same miss compute the same value, so no compute-level lock is
-needed.
+Concurrency: every cache the oracle reads or writes is a lock-protected
+:class:`~repro.runtime.shards.LRUCache`.  The query server makes all oracle
+calls on its dispatching thread (see the mediator's concurrency notes); the
+locks only keep a caller that probes one oracle from several threads from
+corrupting the recency order.  Verdicts are deterministic functions of
+configuration content; two threads racing on the same miss compute the same
+value, so no compute-level lock is needed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core import (
-    ContainmentOptions,
-    is_immediately_relevant,
-    long_term_relevance_with_witness,
-)
+from repro.core import is_immediately_relevant, long_term_relevance_with_witness
 from repro.core.longterm_dependent import containment_cq_memo
 from repro.data import Configuration, Fact
 from repro.exceptions import QueryError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.shards import LRUCache, ShardedLRUCache, SharedVerdictStore
+from repro.runtime.shards import LRUCache, SharedVerdictStore
 from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import (
     ConfigurationSnapshot,
@@ -119,14 +110,11 @@ class RelevanceOracle:
         query,
         schema: Schema,
         *,
-        options: Optional[ContainmentOptions] = None,
-        ltr_method: str = "auto",
         metrics: Optional[RuntimeMetrics] = None,
         max_entries: Optional[int] = 65536,
         incremental: bool = True,
         certainty_fixpoint: bool = True,
         fixpoint_max_facts: int = 1_000_000,
-        n_shards: int = 1,
         store: Optional[SharedVerdictStore] = None,
         pool: Optional["ProcessRelevancePool"] = None,
         persist: Optional["PersistentWitnessCache"] = None,
@@ -135,8 +123,6 @@ class RelevanceOracle:
     ) -> None:
         self._query = query if query.is_boolean else query.boolean_closure()
         self._schema = schema
-        self._options = options
-        self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
         self._pool = pool
         if cache_path is not None and persist is not None:
@@ -148,25 +134,12 @@ class RelevanceOracle:
                 cache_path, backend=cache_backend, metrics=self._metrics
             )
         self._persist = persist
-        self._cache: Union[LRUCache, ShardedLRUCache] = (
-            ShardedLRUCache(max_entries, n_shards=n_shards)
-            if n_shards > 1
-            else LRUCache(max_entries)
-        )
+        self._cache = LRUCache(max_entries)
         self._incremental = incremental
         if store is not None:
             store.check_compatible(self._query, schema)
-            if options is not None:
-                raise QueryError(
-                    "pass containment options when constructing the "
-                    "SharedVerdictStore's oracles consistently; a store's "
-                    "histories reflect the options they were computed under"
-                )
             self._witnesses = store.witnesses
             self._ltr_history = store.ltr_history
-        elif n_shards > 1:
-            self._witnesses = ShardedLRUCache(max_entries, n_shards=n_shards)
-            self._ltr_history = ShardedLRUCache(max_entries, n_shards=n_shards)
         else:
             self._witnesses = LRUCache(max_entries)
             self._ltr_history = LRUCache(max_entries)
@@ -221,11 +194,6 @@ class RelevanceOracle:
     def metrics(self) -> RuntimeMetrics:
         """The metrics sink the oracle records into."""
         return self._metrics
-
-    @property
-    def ltr_method(self) -> str:
-        """The long-term relevance procedure the oracle dispatches to."""
-        return self._ltr_method
 
     @property
     def pool(self) -> Optional["ProcessRelevancePool"]:
@@ -414,25 +382,10 @@ class RelevanceOracle:
                 self._witnesses.discard(akey)
 
         self._metrics.incr("oracle.fresh_searches")
-        with tracer.span("fresh-search") as search_span:
+        with tracer.span("fresh-search"):
             with self._metrics.timer("oracle.long_term"):
-
-                def budget_tripped() -> None:
-                    # Anytime containment: the reduction blew its wall-clock
-                    # budget and the facade is falling back to the sound
-                    # direct search.  Counted here so operators can see how
-                    # often the budget is doing its job.
-                    self._metrics.incr("oracle.containment_budget_tripped")
-                    search_span.annotate(budget_tripped=True)
-
                 verdict, steps = long_term_relevance_with_witness(
-                    self._query,
-                    access,
-                    configuration,
-                    self._schema,
-                    method=self._ltr_method,
-                    options=self._options,
-                    on_budget_trip=budget_tripped,
+                    self._query, access, configuration, self._schema
                 )
         witness = LtrWitness(tuple(steps)) if steps else None
         self._record_ltr(akey, key, verdict, configuration, witness=witness, access=access)
@@ -527,8 +480,6 @@ class RelevanceOracle:
             self._schema,
             configuration,
             pending,
-            ltr_method=self._ltr_method,
-            options=self._options,
             trace=current_tracer().enabled,
         )
 
@@ -551,12 +502,6 @@ class RelevanceOracle:
             return len(pending)
 
         return finish
-
-    def prefetch_long_term(
-        self, accesses: Sequence[Access], configuration: Configuration
-    ) -> int:
-        """Blocking form of :meth:`begin_prefetch_long_term`."""
-        return self.begin_prefetch_long_term(accesses, configuration)()
 
     # ------------------------------------------------------------------ #
     # Externally computed verdicts

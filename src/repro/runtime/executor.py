@@ -1,17 +1,18 @@
 """Batched access execution against a mediator.
 
-The answering strategies of :mod:`repro.planner.dynamic` used to interleave
-bookkeeping (which accesses were already made, how many facts each returned)
-with strategy logic.  :class:`AccessExecutor` centralises that bookkeeping:
+:class:`AccessExecutor` keeps the access bookkeeping out of the answering
+loop of :class:`~repro.runtime.server.QueryServer`:
 
 * it deduplicates accesses, so an access performed once is never re-sent to a
-  source;
-* it executes *batches* — for the exhaustive strategy, a whole round of
-  candidate accesses is dispatched in one call, and with ``max_concurrency``
-  the batch's independent accesses overlap their source latency through
+  source — including accesses an earlier executor (or a direct
+  :meth:`~repro.sources.service.Mediator.perform`) already merged into the
+  mediator, which it seeds from the mediator's access log;
+* it executes *batches* — a whole round of accesses is dispatched in one
+  call, and with ``max_concurrency`` the batch's independent accesses
+  overlap their source latency through
   :meth:`~repro.sources.service.Mediator.perform_many`;
-* it records per-run metrics (accesses performed, skipped, facts retrieved,
-  *new* facts merged).
+* it records metrics (accesses performed, skipped, facts retrieved, *new*
+  facts merged).
 
 Progress is measured in **new facts merged**, not tuples returned: with
 overlapping sources an access can return plenty of tuples the configuration
@@ -43,10 +44,9 @@ def candidate_accesses(
 ) -> List[Access]:
     """Well-formed accesses (dependent bindings from the active domain) not yet made.
 
-    This is the per-round enumeration every answering strategy starts from —
-    the single-query strategies of :mod:`repro.planner.dynamic` and the
-    multi-query rounds of :class:`~repro.runtime.server.QueryServer` (which
-    enumerates once per round and shares the list across all its queries).
+    This is the per-round enumeration of
+    :class:`~repro.runtime.server.QueryServer`, which enumerates once per
+    round and shares the list across all its queries.
     ``performed_key`` is usually :meth:`AccessExecutor.has_performed_key`.
     """
     candidates: List[Access] = []
@@ -132,7 +132,11 @@ class AccessExecutor:
     def __init__(self, mediator: Mediator, *, metrics: Optional[RuntimeMetrics] = None) -> None:
         self._mediator = mediator
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        self._performed: Set[Tuple[str, Tuple[object, ...]]] = set()
+        # The log holds merged accesses only, so a failed access stays a
+        # candidate for retry.
+        self._performed: Set[Tuple[str, Tuple[object, ...]]] = {
+            access_key(access) for access, _tuples in mediator.access_log
+        }
 
     @property
     def mediator(self) -> Mediator:
@@ -183,8 +187,8 @@ class AccessExecutor:
         """Perform every not-yet-performed access of the batch.
 
         ``precheck`` is consulted immediately before each dispatch, against
-        whatever state earlier completions of the batch merged — the
-        relevance-guided strategy passes its oracle here, so an access
+        whatever state earlier completions of the batch merged — the query
+        server passes its relevance re-check here, so an access
         screened relevant at the top of the round is re-validated (cheaply,
         through the incremental engine) at the configuration it actually
         executes against.  ``stop`` ends the batch between completions (e.g.

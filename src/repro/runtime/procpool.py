@@ -103,7 +103,7 @@ def _decode_configuration(token: object, payload: bytes) -> Configuration:
     return configuration
 
 
-def _run_task_kind(kind, spec, query, schema, configuration, ltr_method, options, tracer):
+def _run_task_kind(kind, spec, query, schema, configuration, tracer):
     """Dispatch one decoded task body (see :func:`_run_search_task`)."""
     from repro.core import is_immediately_relevant, long_term_relevance_with_witness
     from repro.queries import certain_answers, is_certain
@@ -112,7 +112,7 @@ def _run_task_kind(kind, spec, query, schema, configuration, ltr_method, options
         access = Access(schema.access_method(spec[0]), tuple(spec[1]))
         with tracer.span("pool-search", method=spec[0]) as span:
             verdict, steps = long_term_relevance_with_witness(
-                query, access, configuration, schema, method=ltr_method, options=options
+                query, access, configuration, schema
             )
             span.annotate(relevant=verdict)
         return (verdict, encode_witness_steps(steps) if steps else None)
@@ -122,12 +122,7 @@ def _run_task_kind(kind, spec, query, schema, configuration, ltr_method, options
             access = Access(schema.access_method(method_name), tuple(binding))
             with tracer.span("pool-search", method=method_name) as span:
                 verdict, steps = long_term_relevance_with_witness(
-                    query,
-                    access,
-                    configuration,
-                    schema,
-                    method=ltr_method,
-                    options=options,
+                    query, access, configuration, schema
                 )
                 span.annotate(relevant=verdict)
             results.append((verdict, encode_witness_steps(steps) if steps else None))
@@ -152,10 +147,10 @@ def _run_search_task(task: Tuple) -> Tuple:
 
     ``task`` is a plain tuple (pickle-friendly, importable entry point):
     ``(kind, schema_token, schema_bytes, query_token, query_bytes,
-    config_token, config_bytes, access_spec_or_None, ltr_method, options,
-    trace)``.  Returns ``(verdict, witness_step_specs_or_None)`` for
-    ``"ltr"``, the bare verdict for ``"certain"`` / ``"ir"``, and the frozen
-    answer set for ``"answers"``.
+    config_token, config_bytes, access_spec_or_None, trace)``.  Returns
+    ``(verdict, witness_step_specs_or_None)`` for ``"ltr"``, the bare verdict
+    for ``"certain"`` / ``"ir"``, and the frozen answer set for
+    ``"answers"``.
 
     With ``trace`` set the worker records its own span tree (a local
     :class:`~repro.runtime.tracing.Tracer` activated for the task, so the
@@ -173,8 +168,6 @@ def _run_search_task(task: Tuple) -> Tuple:
         ctoken,
         config_bytes,
         spec,
-        ltr_method,
-        options,
         trace,
     ) = task
     schema: Schema = _decode_cached(("schema", stoken), schema_bytes)
@@ -183,9 +176,7 @@ def _run_search_task(task: Tuple) -> Tuple:
     tracer = Tracer() if trace else NO_TRACER
     with activate_tracer(tracer if trace else None):
         with tracer.span("pool-task", kind=kind):
-            payload = _run_task_kind(
-                kind, spec, query, schema, configuration, ltr_method, options, tracer
-            )
+            payload = _run_task_kind(kind, spec, query, schema, configuration, tracer)
     if trace:
         return (payload, encode_spans(tracer.spans()))
     return payload
@@ -374,8 +365,6 @@ class ProcessRelevancePool:
         configuration: Configuration,
         access: Optional[Access] = None,
         *,
-        ltr_method: str = "auto",
-        options: Optional[object] = None,
         trace: bool = False,
     ) -> Future:
         """Submit one search task; returns the raw future.
@@ -398,8 +387,6 @@ class ProcessRelevancePool:
             ctoken,
             config_bytes,
             access_spec(access) if access is not None else None,
-            ltr_method,
-            options,
             trace,
         )
         return self._submit_task(task)
@@ -410,21 +397,10 @@ class ProcessRelevancePool:
         schema: Schema,
         configuration: Configuration,
         accesses: Sequence[Access],
-        *,
-        ltr_method: str = "auto",
-        options: Optional[object] = None,
     ) -> List[Future]:
         """Submit one LTR search per access (all against one configuration)."""
         return [
-            self.submit(
-                "ltr",
-                query,
-                schema,
-                configuration,
-                access,
-                ltr_method=ltr_method,
-                options=options,
-            )
+            self.submit("ltr", query, schema, configuration, access)
             for access in accesses
         ]
 
@@ -435,8 +411,6 @@ class ProcessRelevancePool:
         configuration: Configuration,
         accesses: Sequence[Access],
         *,
-        ltr_method: str = "auto",
-        options: Optional[object] = None,
         trace: bool = False,
     ) -> List[Tuple[List[Access], Future, bool, Optional[SpanContext]]]:
         """Submit the accesses' LTR searches in worker-sized chunks.
@@ -473,8 +447,6 @@ class ProcessRelevancePool:
                 ctoken,
                 config_bytes,
                 tuple(access_spec(access) for access in chunk),
-                ltr_method,
-                options,
                 trace,
             )
             chunks.append((chunk, self._submit_task(task), trace, parent))

@@ -50,10 +50,10 @@ def access_is_relevant(
 ) -> bool:
     """Whether ``access`` passes the enabled relevance notions right now.
 
-    The shared dispatch-time re-check of the single-query strategy's
-    ``precheck`` and the query server's per-owner precheck: both must apply
-    exactly the same policy, or a pooled/multi-query run could perform a
-    different access set than the sequential one.
+    The query server's dispatch-time re-check of an access for each query
+    that wanted it — the same policy the round's screening applied, so a
+    pooled or concurrent run performs the same access set as a sequential
+    one.
     """
     if use_long_term and not oracle.long_term_relevant(access, configuration):
         return False
@@ -77,10 +77,7 @@ def resolve_group_verdict(
     every member adopt the verdicts — positively together with the
     representative's witness translated through the member's automorphism
     mapping, so later rounds revalidate instead of searching — and returns
-    whether the group's accesses are relevant.  This is the one copy of the
-    group-adoption semantics; the single-query strategy and the query server
-    both call it (they previously each had their own, which is exactly how
-    adoption fixes would silently diverge).
+    whether the group's accesses are relevant.
     """
     ltr_verdict = (
         oracle.long_term_relevant(representative, configuration)

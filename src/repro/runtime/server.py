@@ -1,10 +1,8 @@
-"""The multi-query answering server.
+"""The answering server: the one answering loop of the runtime.
 
-Everything below :mod:`repro.planner.dynamic` answers *one* query per run: a
-private oracle, a private screen, rounds that stop at that query's certainty.
 A traffic-serving mediator is asked many queries about the *same* sources at
-once, and the single-query loop wastes the two things the queries could
-share:
+once, and answering them one by one would waste the two things the queries
+can share:
 
 * **the configuration** — an access performed for one query grows the one
   configuration every other query reads, so a fact retrieved once should
@@ -14,11 +12,12 @@ share:
   :class:`~repro.runtime.procpool.ProcessRelevancePool` they run *in
   parallel across queries* instead of sequentially under the GIL.
 
-:class:`QueryServer` (alias :class:`MultiQueryMediator`) is that runtime.  It
-owns one :class:`~repro.sources.service.Mediator` and, per distinct Boolean
-query, a :class:`~repro.runtime.shards.SharedVerdictStore` kept in a registry
-— so repeated :meth:`~QueryServer.answer` calls (the "requests" of the
-server) inherit every earlier call's LTR history and witness paths.  With a
+:class:`QueryServer` is that runtime, and the single-query strategies of
+:mod:`repro.planner.dynamic` are one-query batches through it.  It owns one
+:class:`~repro.sources.service.Mediator` and, per distinct Boolean query, a
+:class:`~repro.runtime.shards.SharedVerdictStore` kept in a registry — so
+repeated :meth:`~QueryServer.answer` calls (the "requests" of the server)
+inherit every earlier call's LTR history and witness paths.  With a
 ``cache_path`` the stores additionally warm up from a
 :class:`~repro.runtime.persist.PersistentWitnessCache`, surviving process
 restarts.
@@ -75,7 +74,7 @@ from repro.runtime.tracing import TracerLike, activate_tracer, current_tracer
 from repro.schema import Access
 from repro.sources.service import Mediator
 
-__all__ = ["MultiQueryMediator", "QueryOutcome", "QueryServer", "ServerResult"]
+__all__ = ["QueryOutcome", "QueryServer", "ServerResult"]
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,6 @@ class _QueryState:
         "boolean",
         "oracle",
         "screen",
-        "prefilter_ltr",
         "certain",
         "relevance_checks",
         "exhausted",
@@ -171,12 +169,11 @@ class _QueryState:
         "attempts",
     )
 
-    def __init__(self, query, boolean, oracle, screen, prefilter_ltr, index) -> None:
+    def __init__(self, query, boolean, oracle, screen, index) -> None:
         self.query = query
         self.boolean = boolean
         self.oracle = oracle
         self.screen = screen
-        self.prefilter_ltr = prefilter_ltr
         self.certain = False
         self.relevance_checks = 0
         self.exhausted = False
@@ -222,9 +219,9 @@ class QueryServer:
     ----------
     mediator:
         The federated engine whose configuration every query shares.
-    use_immediate / use_long_term / ltr_method:
-        The relevance notions each query's strategy filters accesses with
-        (same semantics as :func:`repro.planner.dynamic.relevance_guided_strategy`).
+    use_immediate / use_long_term:
+        The relevance notions each query's strategy filters accesses with:
+        long-term relevance (the default), immediate relevance, or both.
     search_workers / pool:
         ``search_workers > 1`` builds a :class:`ProcessRelevancePool` owned
         by the server (closed by :meth:`close`); an explicit ``pool`` is
@@ -272,7 +269,6 @@ class QueryServer:
         *,
         use_immediate: bool = False,
         use_long_term: bool = True,
-        ltr_method: str = "auto",
         metrics: Optional[RuntimeMetrics] = None,
         search_workers: int = 1,
         pool: Optional[ProcessRelevancePool] = None,
@@ -292,7 +288,6 @@ class QueryServer:
         self._mediator = mediator
         self._use_immediate = use_immediate
         self._use_long_term = use_long_term
-        self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
         self._own_pool = pool is None and search_workers > 1
         self._pool = (
@@ -514,7 +509,6 @@ class QueryServer:
             oracle = RelevanceOracle(
                 boolean,
                 schema,
-                ltr_method=self._ltr_method,
                 metrics=self._metrics,
                 max_entries=self._max_entries,
                 store=self.store_for(boolean),
@@ -522,13 +516,7 @@ class QueryServer:
                 persist=self._persist,
             )
             screen = CandidateScreen(boolean, schema, metrics=self._metrics)
-            prefilter_ltr = self._use_long_term and self._ltr_method in (
-                "auto",
-                "direct",
-                "independent",
-                "single-occurrence",
-            )
-            state = _QueryState(query, boolean, oracle, screen, prefilter_ltr, index)
+            state = _QueryState(query, boolean, oracle, screen, index)
             if round_budgets is not None:
                 state.round_budget = round_budgets[index]
             if access_budgets is not None:
@@ -709,7 +697,7 @@ class QueryServer:
                 index=state.index,
             ) as qspan:
                 mine = candidates
-                if state.prefilter_ltr:
+                if self._use_long_term:
                     mine = state.screen.prefilter(mine)
                 elif self._use_immediate and not self._use_long_term:
                     mine = state.screen.prefilter(mine, immediate_only=True)
@@ -974,7 +962,3 @@ class QueryServer:
                 )
             )
         return tuple(outcomes)
-
-
-#: The name the ROADMAP promised; the implementation grew into a server.
-MultiQueryMediator = QueryServer

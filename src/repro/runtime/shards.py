@@ -1,29 +1,18 @@
-"""Sharded, lock-protected verdict storage for concurrent answering runs.
+"""Lock-protected verdict storage shared across relevance oracles.
 
-The memoization layer of :class:`~repro.runtime.cache.RelevanceOracle` was
-built for a single-threaded answering loop: one ``OrderedDict`` per verdict
-kind.  A concurrent runtime breaks that in two ways —
+The memoization layer of :class:`~repro.runtime.cache.RelevanceOracle` keeps
+one LRU map per verdict kind.  Two things sit here rather than in the
+oracle:
 
-* worker threads screening and prechecking accesses would serialize on the
-  single dict (and corrupt it without a lock: ``OrderedDict.move_to_end``
-  during ``popitem`` is not atomic);
-* several oracles over the *same* Boolean query (repeated benchmark runs, the
-  planned multi-query mediator) each rebuild witness paths and LTR history the
-  others already paid for.
-
-This module provides the two missing pieces:
-
-* :class:`LRUCache` — the original LRU map, now guarded by an internal lock
-  so concurrent ``get``/``put`` cannot corrupt the recency order (each
-  instance doubles as one *shard*);
-* :class:`ShardedLRUCache` — splits one logical cache over
-  ``hash(key) % n_shards`` independent :class:`LRUCache` shards, so threads
-  touching different access keys contend on different locks;
+* :class:`LRUCache` — the LRU map itself, guarded by an internal lock so a
+  caller probing one oracle from several threads cannot corrupt the recency
+  order (``OrderedDict.move_to_end`` during ``popitem`` is not atomic);
 * :class:`SharedVerdictStore` — the delta-inheritable LTR history and witness
   paths for one ``(query, schema)`` pair, shareable across any number of
-  oracles (cross-query verdict sharing, scoped to *identical* Boolean
-  queries: the verdicts are functions of the query, so nothing weaker is
-  sound).
+  oracles (the query server keeps one per distinct query, so every
+  :meth:`~repro.runtime.server.QueryServer.answer` call inherits the earlier
+  calls' work).  Sharing is scoped to *identical* Boolean queries: the
+  verdicts are functions of the query, so nothing weaker is sound.
 
 Locks protect structural integrity only.  Verdicts are deterministic
 functions of the configuration content, so two threads racing to compute the
@@ -34,22 +23,20 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.exceptions import QueryError
 from repro.queries.certain import CertaintyFixpoint
 from repro.schema import Schema
 
-__all__ = ["LRUCache", "ShardedLRUCache", "SharedVerdictStore"]
+__all__ = ["LRUCache", "SharedVerdictStore"]
 
 
 class LRUCache:
     """A small LRU map with hit/miss accounting, safe under concurrent use.
 
     A single internal lock serialises structural mutation (lookup refreshes
-    recency, so even ``get`` mutates).  For contended workloads, shard
-    several instances with :class:`ShardedLRUCache` instead of lengthening
-    the critical section here.
+    recency, so even ``get`` mutates).
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -121,90 +108,6 @@ class LRUCache:
             return key in self._entries
 
 
-class ShardedLRUCache:
-    """One logical LRU cache split over ``n_shards`` lock-independent shards.
-
-    Keys route to ``hash(key) % n_shards``; each shard is a plain
-    :class:`LRUCache` whose internal lock is the per-shard lock, so threads
-    working on different access keys do not serialise on one dict.  The
-    ``max_entries`` budget is divided evenly across shards (the eviction
-    policy becomes per-shard LRU — an acceptable approximation of global
-    LRU for verdict caching).
-    """
-
-    def __init__(self, max_entries: Optional[int] = None, *, n_shards: int = 8) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
-        per_shard = (
-            None if max_entries is None else max(1, -(-max_entries // n_shards))
-        )
-        self._shards: List[LRUCache] = [LRUCache(per_shard) for _ in range(n_shards)]
-
-    @property
-    def n_shards(self) -> int:
-        """Number of independent shards."""
-        return len(self._shards)
-
-    def _shard(self, key: Hashable) -> LRUCache:
-        return self._shards[hash(key) % len(self._shards)]
-
-    @property
-    def hits(self) -> int:
-        """Hits across all shards."""
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        """Misses across all shards."""
-        return sum(shard.misses for shard in self._shards)
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key`` in its shard, refreshing recency on a hit."""
-        return self._shard(key).get(key, default)
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Store ``key`` in its shard, evicting that shard's LRU overflow."""
-        self._shard(key).put(key, value)
-
-    def discard(self, key: Hashable) -> None:
-        """Drop ``key`` from its shard if present."""
-        self._shard(key).discard(key)
-
-    def reset_stats(self) -> None:
-        """Zero every shard's hit/miss gauges (entries are kept)."""
-        for shard in self._shards:
-            shard.reset_stats()
-
-    def shard_stats(self) -> List[dict]:
-        """Per-shard hit/miss gauges, in shard order."""
-        return [shard.stats() for shard in self._shards]
-
-    def stats(self) -> dict:
-        """Aggregate gauges plus the per-shard breakdown.
-
-        The ``per_shard`` list makes routing imbalance visible: with keys
-        hashing badly, one shard's probes dwarf the others' and its lock
-        becomes the contention point the sharding was meant to avoid.
-        """
-        per_shard = self.shard_stats()
-        hits = sum(entry["hits"] for entry in per_shard)
-        misses = sum(entry["misses"] for entry in per_shard)
-        probes = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "entries": sum(entry["entries"] for entry in per_shard),
-            "hit_rate": (hits / probes) if probes else None,
-            "per_shard": per_shard,
-        }
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._shard(key)
-
-
 class SharedVerdictStore:
     """Incremental LTR state shared by every oracle over one (query, schema).
 
@@ -214,9 +117,9 @@ class SharedVerdictStore:
     new configuration) and the captured witness paths (revalidatable in
     O(|path|) at any configuration).  Both are keyed by the access alone —
     their soundness arguments compare configuration *content*, never the
-    identity of the run that recorded them — so repeated benchmark runs,
-    parallel answering workers, and the planned multi-query mediator can all
-    pool them.  The store also owns the per-(query, schema)
+    identity of the run that recorded them — so every oracle the query
+    server builds for the query, in any answer call, can pool them.  The
+    store also owns the per-(query, schema)
     :class:`~repro.queries.certain.CertaintyFixpoint` (``certainty``): the
     materialized incremental-certainty state, keyed by fact-fingerprint
     lineage and therefore equally run-independent.  Evicting the store (the
@@ -234,13 +137,12 @@ class SharedVerdictStore:
         schema: Schema,
         *,
         max_entries: Optional[int] = 65536,
-        n_shards: int = 8,
         fixpoint_max_facts: int = 1_000_000,
     ) -> None:
         self._query = query if query.is_boolean else query.boolean_closure()
         self._schema = schema
-        self.ltr_history = ShardedLRUCache(max_entries, n_shards=n_shards)
-        self.witnesses = ShardedLRUCache(max_entries, n_shards=n_shards)
+        self.ltr_history = LRUCache(max_entries)
+        self.witnesses = LRUCache(max_entries)
         self.certainty = CertaintyFixpoint(self._query, max_facts=fixpoint_max_facts)
 
     @property

@@ -167,7 +167,7 @@ class LtrWitness:
         exactly (content, fingerprint, cached views) before returning, so
         revalidation is O(|path|) in allocations as well as steps.  Like the
         rest of the oracle's incremental machinery this runs on the
-        strategy's dispatching thread, where the live configuration view
+        server's dispatching thread, where the live configuration view
         only changes between callbacks.
         """
         added = []

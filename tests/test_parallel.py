@@ -1,8 +1,8 @@
 """Tests for the parallel answering runtime.
 
 Covers the concurrency layer end to end: the source latency model, the
-mediator's windowed ``perform_many``, thread-safe metrics and (sharded) LRU
-caches, the shared verdict store, the ``rounds_exhausted`` /
+mediator's windowed ``perform_many``, thread-safe metrics and LRU caches,
+the shared verdict store, the ``rounds_exhausted`` /
 new-facts-progress bookkeeping, and — the load-bearing property — that a
 parallel relevance-guided run is observationally equivalent to the
 sequential one: same answers, and on fanout workloads the same access set.
@@ -19,7 +19,7 @@ from repro import Access, Configuration, Instance, RelevanceOracle, RuntimeMetri
 from repro.core import is_long_term_relevant
 from repro.exceptions import AccessError, QueryError, SchemaError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
-from repro.runtime import AccessExecutor, LRUCache, ShardedLRUCache, SharedVerdictStore
+from repro.runtime import AccessExecutor, LRUCache, QueryServer, SharedVerdictStore
 from repro.schema import SchemaBuilder
 from repro.sources import DataSource, Mediator
 from repro.workloads import (
@@ -197,7 +197,7 @@ class TestPerformMany:
 
 
 # --------------------------------------------------------------------------- #
-# Thread safety: metrics, LRU caches, sharded oracle
+# Thread safety: metrics, LRU caches, one oracle probed from many threads
 # --------------------------------------------------------------------------- #
 class TestThreadSafety:
     def test_concurrent_incr_loses_no_counts(self):
@@ -242,27 +242,10 @@ class TestThreadSafety:
         assert not errors
         assert len(cache) <= 64
 
-    def test_sharded_lru_routes_and_accounts(self):
-        cache = ShardedLRUCache(max_entries=400, n_shards=4)
-        assert cache.n_shards == 4
-        for i in range(100):
-            cache.put(("k", i), i)
-        assert len(cache) == 100
-        for i in range(100):
-            assert cache.get(("k", i)) == i
-            assert ("k", i) in cache
-        assert cache.hits == 100
-        assert cache.get("absent") is None
-        assert cache.misses == 1
-        cache.discard(("k", 0))
-        assert ("k", 0) not in cache
-        with pytest.raises(ValueError):
-            ShardedLRUCache(n_shards=0)
-
     def test_sharded_oracle_concurrent_verdicts_match_fresh_search(self):
         scenario = fanout_scenario(3)
         schema = scenario.schema
-        oracle = RelevanceOracle(scenario.query, schema, n_shards=4)
+        oracle = RelevanceOracle(scenario.query, schema)
         base = scenario.configuration.copy()
         grown = base.copy()
         grown.add("Hub", ("start", "m0"))
@@ -304,19 +287,20 @@ class TestSharedVerdictStore:
     def test_second_run_reuses_first_runs_witnesses(self):
         scenario = fanout_scenario(3)
         store = SharedVerdictStore(scenario.query, scenario.schema)
+        probe = scenario.access
+        grown = scenario.configuration.copy()
+        grown.add("Hub", ("start", "m1"))
 
-        first = relevance_guided_strategy(
-            scenario.mediator(), scenario.query, store=store
-        )
+        first = RelevanceOracle(scenario.query, scenario.schema, store=store)
+        assert first.long_term_relevant(probe, scenario.configuration)
         assert len(store.witnesses) > 0
         second_metrics = RuntimeMetrics()
-        oracle = RelevanceOracle(
+        second = RelevanceOracle(
             scenario.query, scenario.schema, metrics=second_metrics, store=store
         )
-        second = relevance_guided_strategy(
-            scenario.mediator(), scenario.query, oracle=oracle
+        assert second.long_term_relevant(probe, grown) == is_long_term_relevant(
+            second.query, probe, grown, scenario.schema
         )
-        assert second.answers == first.answers
         counters = second_metrics.snapshot()["counters"]
         reused = counters.get("witness.revalidated", 0) + counters.get(
             "oracle.delta_hits", 0
@@ -333,15 +317,6 @@ class TestSharedVerdictStore:
             RelevanceOracle(scenario.query, other.schema, store=store)
         # Attaching for the very pair it was built for is fine.
         RelevanceOracle(scenario.query, scenario.schema, store=store)
-
-    def test_store_and_prebuilt_oracle_are_mutually_exclusive(self):
-        scenario = fanout_scenario(2)
-        store = SharedVerdictStore(scenario.query, scenario.schema)
-        oracle = RelevanceOracle(scenario.query, scenario.schema)
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                scenario.mediator(), scenario.query, oracle=oracle, store=store
-            )
 
 
 # --------------------------------------------------------------------------- #
@@ -385,7 +360,7 @@ class TestProgressBookkeeping:
         # Round 1 merges R(a,b); round 2 only re-retrieves it through the
         # overlapping method and stops.  Counting returned-but-known tuples
         # as progress used to buy a third, provably idle round.
-        assert metrics.count("strategy.rounds") == 2
+        assert metrics.count("server.rounds") == 2
         assert not result.rounds_exhausted
 
     def _deep_chain(self, length=3):
@@ -407,7 +382,7 @@ class TestProgressBookkeeping:
             starved = strategy(make_mediator(), query, max_rounds=1, metrics=metrics)
             assert starved.rounds_exhausted, strategy.__name__
             assert not starved.boolean_answer
-            assert metrics.count("strategy.rounds_exhausted") == 1
+            assert metrics.count("server.rounds_exhausted") == 1
 
             completed = strategy(make_mediator(), query, metrics=RuntimeMetrics())
             assert not completed.rounds_exhausted
@@ -516,11 +491,12 @@ class TestParallelDeterminism:
         configuration equals a fresh, cache-free search."""
         scenario = wide_fanout_scenario(4, 2)
         schema = scenario.schema
-        oracle = RelevanceOracle(scenario.query, schema, n_shards=4)
         mediator = scenario.mediator(latency_s=0.001)
-        relevance_guided_strategy(
-            mediator, scenario.query, oracle=oracle, parallelism=4
-        )
+        with QueryServer(mediator, parallelism=4) as server:
+            server.answer([scenario.query])
+            oracle = RelevanceOracle(
+                scenario.query, schema, store=server.store_for(scenario.query)
+            )
         final = mediator.configuration_view
         probes = [Access(schema.access_method("accHub"), ("start",))]
         for index in (1, 2, 3, 4):

@@ -184,34 +184,6 @@ def test_lazy_iteration_survives_live_view_mutation():
     list(iterator)  # must not raise RuntimeError
 
 
-def test_guided_strategy_rejects_mismatched_oracle_and_reports_per_run_hits():
-    import pytest
-
-    from repro.exceptions import QueryError
-    from repro.planner import relevance_guided_strategy
-    from repro.sources import build_bank_scenario
-
-    bank = build_bank_scenario(employees=3, offices=2, states=2, known_employees=1)
-    other_query = random_cq(SCHEMA, atoms=2, variables=2, seed=9)
-    wrong_oracle = RelevanceOracle(other_query, SCHEMA)
-    with pytest.raises(QueryError):
-        relevance_guided_strategy(bank.mediator(), bank.query, oracle=wrong_oracle)
-
-    wrong_schema_oracle = RelevanceOracle(bank.query, SCHEMA)  # not the mediator's schema
-    with pytest.raises(QueryError):
-        relevance_guided_strategy(
-            bank.mediator(), bank.query, oracle=wrong_schema_oracle
-        )
-
-    oracle = RelevanceOracle(bank.query, bank.schema)
-    first = relevance_guided_strategy(bank.mediator(), bank.query, oracle=oracle)
-    second = relevance_guided_strategy(bank.mediator(), bank.query, oracle=oracle)
-    # cache_hits is per run: the second run's count must not include the
-    # first run's hits (the shared oracle's lifetime counter keeps growing).
-    assert oracle.cache_hits >= first.cache_hits + second.cache_hits
-    assert second.answers == first.answers
-
-
 def test_mediator_merge_is_atomic_on_invalid_response():
     """A response that fails validation part-way must leave the
     configuration untouched (no partially merged facts)."""
@@ -460,8 +432,7 @@ def test_adopted_verdicts_flow_through_guided_strategy():
     bank = build_bank_scenario(employees=4, offices=2, states=2, known_employees=2)
     exhaustive = exhaustive_strategy(bank.mediator(), bank.query)
     metrics = RuntimeMetrics()
-    oracle = RelevanceOracle(bank.query, bank.schema, metrics=metrics)
-    result = relevance_guided_strategy(bank.mediator(), bank.query, oracle=oracle)
+    result = relevance_guided_strategy(bank.mediator(), bank.query, metrics=metrics)
     assert result.boolean_answer == exhaustive.boolean_answer
     assert result.accesses_made <= exhaustive.accesses_made
     counters = metrics.snapshot()["counters"]

@@ -5,8 +5,8 @@ strategies, access sharing across a batch, determinism across
 ``search_workers`` counts (the load-bearing property: a pooled run returns
 the same answers and performs the same access set as a single-process run),
 the persistent witness cache across simulated restarts, the store registry
-across ``answer`` calls, and the new metrics surfaces (timer call counts,
-per-shard cache gauges).
+across ``answer`` calls, reuse of one mediator by several runs, and the
+metrics surfaces (timer call counts, cache gauges).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import pytest
 from repro.exceptions import QueryError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
 from repro.runtime import (
+    LRUCache,
     PersistentWitnessCache,
     QueryServer,
     RuntimeMetrics,
-    ShardedLRUCache,
 )
 from repro.workloads import (
     bank_multi_query_scenario,
+    fanout_scenario,
     multi_query_scenario,
     star_join_scenario,
 )
@@ -163,21 +164,6 @@ class TestSearchWorkerDeterminism:
         assert pooled.answers == baseline.answers
         assert _access_set(mediator) == _access_set(baseline_mediator)
 
-    def test_prebuilt_oracle_rejects_pool_knobs(self, scenario):
-        from repro.runtime import RelevanceOracle
-
-        query = scenario.queries[0]
-        mediator = scenario.mediator()
-        oracle = RelevanceOracle(query, mediator.schema)
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                mediator, query, oracle=oracle, search_workers=2
-            )
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                mediator, query, oracle=oracle, cache_path="unused.jsonl"
-            )
-
 
 # --------------------------------------------------------------------------- #
 # Persistent witness cache: warm restarts
@@ -268,6 +254,39 @@ class TestPersistentCache:
 
 
 # --------------------------------------------------------------------------- #
+# One mediator, several runs: nothing is re-sent, counts are per run
+# --------------------------------------------------------------------------- #
+class TestReusedMediator:
+    @pytest.mark.parametrize(
+        "strategy", [exhaustive_strategy, relevance_guided_strategy]
+    )
+    def test_second_strategy_run_sends_and_counts_nothing(self, strategy):
+        scenario = fanout_scenario(3)
+        mediator = scenario.mediator()
+        first = strategy(mediator, scenario.query)
+        assert first.accesses_made == mediator.access_count > 0
+        before = mediator.access_count
+        second = strategy(mediator, scenario.query)
+        assert second.accesses_made == 0
+        assert second.facts_retrieved == 0
+        assert mediator.access_count == before
+        assert second.answers == first.answers
+
+    def test_second_server_on_one_mediator_resends_nothing(self):
+        scenario = fanout_scenario(3)
+        mediator = scenario.mediator()
+        with QueryServer(mediator) as first_server:
+            first = first_server.answer([scenario.query], strategy="exhaustive")
+        before = mediator.access_count
+        with QueryServer(mediator) as second_server:
+            second = second_server.answer([scenario.query], strategy="exhaustive")
+        assert first.accesses_made == before > 0
+        assert second.accesses_made == 0
+        assert mediator.access_count == before
+        assert second.answers == first.answers
+
+
+# --------------------------------------------------------------------------- #
 # The store registry: a server is a server
 # --------------------------------------------------------------------------- #
 class TestStoreRegistry:
@@ -341,35 +360,20 @@ class TestMetricsSurfaces:
         metrics.reset()
         assert metrics.timer_calls("t") == 0
 
-    def test_sharded_cache_stats_expose_per_shard_rates(self):
-        cache = ShardedLRUCache(max_entries=64, n_shards=4)
-        for index in range(32):
-            cache.put(("k", index), index)
-            cache.get(("k", index))
-        cache.get("absent")
-        stats = cache.stats()
-        assert stats["hits"] == 32 and stats["misses"] == 1
-        assert 0.9 < stats["hit_rate"] < 1.0
-        assert len(stats["per_shard"]) == 4
-        assert sum(shard["hits"] for shard in stats["per_shard"]) == 32
-        assert sum(shard["entries"] for shard in stats["per_shard"]) == 32
-        # An unprobed cache reports an unknown (None) rate, not zero.
-        assert ShardedLRUCache(n_shards=2).stats()["hit_rate"] is None
-
     def test_server_metrics_include_cache_gauges(self, scenario):
         metrics = RuntimeMetrics()
         with QueryServer(scenario.mediator(), metrics=metrics) as server:
             server.answer(scenario.queries)
             snap = metrics.snapshot()
         # The store-backed caches outlive the per-call oracles and stay
-        # visible, sharded with per-shard gauges.
-        sharded = [
+        # visible.
+        stored = [
             stats
             for name, stats in snap["caches"].items()
             if name.startswith("oracle.witnesses")
             or name.startswith("oracle.ltr_history")
         ]
-        assert sharded and all("per_shard" in stats for stats in sharded)
+        assert stored and all("hit_rate" in stats for stats in stored)
         assert snap["timer_calls"].get("oracle.certain", 0) > 0
 
     def test_cache_registry_stays_bounded_across_answer_calls(self, scenario):
@@ -387,7 +391,7 @@ class TestMetricsSurfaces:
 
     def test_dead_cache_registrations_are_pruned(self):
         metrics = RuntimeMetrics()
-        cache = ShardedLRUCache(n_shards=2)
+        cache = LRUCache()
         name = metrics.register_cache("probe", cache)
         assert name in metrics.snapshot()["caches"]
         del cache
@@ -396,5 +400,5 @@ class TestMetricsSurfaces:
         gc.collect()
         assert "probe" not in metrics.snapshot()["caches"]
         # The name is reusable once the old cache is gone.
-        keep = ShardedLRUCache(n_shards=2)
+        keep = LRUCache()
         assert metrics.register_cache("probe", keep) == "probe"
