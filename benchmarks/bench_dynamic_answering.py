@@ -41,6 +41,7 @@ def test_relevance_guided_strategy(benchmark, bank):
     def guided():
         return relevance_guided_strategy(bank.mediator(), bank.query)
 
-    result = benchmark.pedantic(guided, rounds=1, iterations=1)
+    # A guided run takes milliseconds; the gate reads the ``min`` of five.
+    result = benchmark.pedantic(guided, rounds=5, iterations=1)
     assert result.boolean_answer == exhaustive.boolean_answer
     assert result.accesses_made <= exhaustive.accesses_made

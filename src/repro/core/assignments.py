@@ -10,6 +10,12 @@ centralises that enumeration:
   values as requested);
 * a variable of an *enumerated* domain ranges over the full enumeration (any
   value may appear in an instance consistent with the configuration).
+
+The long-term relevance searches enumerate through a
+:class:`SubgoalClassifier`, which sorts every subgoal into *absorbed*,
+*first* or *later* as soon as it is ground, so a branch whose grounded
+subgoals cannot start a witness path is cut before its remaining variables
+are expanded.
 """
 
 from __future__ import annotations
@@ -27,12 +33,89 @@ from typing import (
     Tuple,
 )
 
-from repro.data import Configuration
+from repro.data import Configuration, Fact
 from repro.chase.fresh import FreshConstants
 from repro.queries.terms import Variable, is_variable
 from repro.schema import AbstractDomain
 
-__all__ = ["candidate_values", "iter_assignments", "iter_witness_assignments"]
+__all__ = [
+    "SubgoalClassifier",
+    "candidate_values",
+    "compatible_with_access",
+    "iter_assignments",
+    "iter_witness_assignments",
+]
+
+#: Labels :class:`SubgoalClassifier` gives a ground subgoal.
+ABSORBED, FIRST, LATER = 1, 2, 3
+
+
+def compatible_with_access(atom, access) -> bool:
+    """Whether a subgoal could be witnessed by the access (Proposition 3.5)."""
+    if atom.relation.name != access.relation.name:
+        return False
+    for place, bound_value in access.binding_by_place.items():
+        term = atom.terms[place]
+        if not is_variable(term) and term != bound_value:
+            return False
+    return True
+
+
+class SubgoalClassifier:
+    """Where a ground subgoal of a long-term relevance witness comes from.
+
+    A ground subgoal is *absorbed* when the configuration already holds it,
+    *first* when the probed access can return it (its relation is the
+    accessed one and it agrees with the binding), *later* when its relation
+    has an access method, and infeasible (``None``) otherwise; the labels are
+    tried in that order.  Only the binding-compatible subgoals
+    (``compatible``) can be *first*.  With an access, a witness needs at
+    least one *first* subgoal, so :func:`iter_witness_assignments` cuts a
+    branch once every compatible subgoal is ground and none of them is
+    *first*; without one (``compatible`` is ``None``) nothing is required.
+    """
+
+    def __init__(self, atoms, configuration: Configuration, schema, access=None):
+        self._relations = tuple(atom.relation.name for atom in atoms)
+        self._has_access = tuple(schema.has_access(name) for name in self._relations)
+        self._configuration = configuration
+        self._access = access
+        self.compatible: Optional[Tuple[int, ...]] = None
+        if access is not None:
+            self.compatible = tuple(
+                index
+                for index, atom in enumerate(atoms)
+                if compatible_with_access(atom, access)
+            )
+
+    def __call__(self, atom_index: int, values: Tuple[object, ...]) -> Optional[int]:
+        relation = self._relations[atom_index]
+        if self._configuration.contains(relation, values):
+            return ABSORBED
+        access = self._access
+        if access is not None and relation == access.relation.name and access.matches(values):
+            return FIRST
+        return LATER if self._has_access[atom_index] else None
+
+    def starts(self, labels: Sequence[Optional[int]]) -> bool:
+        """Whether some compatible subgoal is witnessed by the first access."""
+        return any(labels[index] == FIRST for index in self.compatible)
+
+    def facts(self, labels, grounded) -> Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]:
+        """The ``(first_facts, later_facts)`` of a fully ground disjunct."""
+        relations = self._relations
+        return (
+            tuple(
+                Fact(relations[index], values)
+                for index, values in enumerate(grounded)
+                if labels[index] == FIRST
+            ),
+            tuple(
+                Fact(relations[index], values)
+                for index, values in enumerate(grounded)
+                if labels[index] == LATER
+            ),
+        )
 
 
 def candidate_values(
@@ -102,7 +185,8 @@ def iter_witness_assignments(
     prefer_fresh: bool = False,
     preferred_values: Sequence[object] = (),
     atom_feasible: Optional[Callable[[int, Tuple[object, ...]], bool]] = None,
-) -> Iterator[Dict[Variable, object]]:
+    classifier: Optional[SubgoalClassifier] = None,
+) -> Iterator[object]:
     """Enumerate assignments restricted to *useful* active-domain values.
 
     A witness (for immediate relevance, long-term relevance, or
@@ -136,7 +220,18 @@ def iter_witness_assignments(
       grounded as soon as the last of its variables is assigned and the
       callback decides whether the branch can still contribute a witness
       (``atom_feasible(atom_index, ground_values)``); infeasible branches are
-      cut before the remaining variables are expanded.
+      cut before the remaining variables are expanded;
+    * **subgoal classification** — a ``classifier``
+      (:class:`SubgoalClassifier`) takes the place of ``atom_feasible``: each
+      atom is labelled as soon as it is ground, an infeasible one cuts the
+      branch, and so does a branch whose binding-compatible subgoals are all
+      ground without one the first access witnesses (when no subgoal is
+      compatible, nothing is enumerated at all).  Each surviving candidate is
+      yielded as its grounded ``(first_facts, later_facts)`` instead of as an
+      assignment, in the order the unpruned enumeration would reach it.
+
+    ``max_assignments`` caps the number of candidates *yielded*, so with a
+    classifier it counts only the ones that survive the cuts.
 
     This restriction keeps the guessing step polynomial in the configuration
     for a fixed query (the data-complexity claims of Propositions 4.1, 4.5,
@@ -246,25 +341,42 @@ def iter_witness_assignments(
             chosen[index] if index >= 0 else constant for index, constant in slots
         )
 
-    if atom_feasible is not None:
-        for atom_index, (slots, last_depth) in enumerate(compiled):
-            if last_depth == -1 and not atom_feasible(atom_index, ground(slots, [])):
-                return
+    check = classifier if classifier is not None else atom_feasible
+    # The current label and ground values of every atom on the branch.
+    labels: List[object] = [None] * len(compiled)
+    grounded: List[object] = [None] * len(compiled)
     atoms_at_depth: Dict[int, List[int]] = {}
-    if atom_feasible is not None:
-        for atom_index, (_slots, last_depth) in enumerate(compiled):
+    if check is not None:
+        for atom_index, (slots, last_depth) in enumerate(compiled):
             if last_depth >= 0:
                 atoms_at_depth.setdefault(last_depth, []).append(atom_index)
+                continue
+            values = ground(slots, [])
+            labels[atom_index] = label = check(atom_index, values)
+            grounded[atom_index] = values
+            if not label:
+                return
+    # The depth at which the last binding-compatible subgoal becomes ground.
+    gate_depth: Optional[int] = None
+    if classifier is not None and classifier.compatible is not None:
+        if not classifier.compatible:
+            return
+        gate_depth = max(compiled[index][1] for index in classifier.compatible)
+        if gate_depth == -1 and not classifier.starts(labels):
+            return
 
     total = len(variables)
     chosen: List[object] = [None] * total
     used_fresh: Dict[str, int] = {name: 0 for name in fresh_pools}
     produced = 0
 
-    def expand(depth: int) -> Iterator[Dict[Variable, object]]:
+    def expand(depth: int) -> Iterator[object]:
         nonlocal produced
         if depth == total:
-            yield dict(zip(variables, chosen))
+            if classifier is not None:
+                yield classifier.facts(labels, grounded)
+            else:
+                yield dict(zip(variables, chosen))
             produced += 1
             return
         preferred_front, known = known_pools[depth]
@@ -296,7 +408,7 @@ def iter_witness_assignments(
                 choices = front_choices + known_choices + fresh_choices
         if not choices:
             return
-        completed = atoms_at_depth.get(depth) if atom_feasible is not None else None
+        completed = atoms_at_depth.get(depth)
         for value, is_new_fresh in choices:
             if max_assignments is not None and produced >= max_assignments:
                 return
@@ -306,10 +418,14 @@ def iter_witness_assignments(
             feasible = True
             if completed:
                 for atom_index in completed:
-                    slots, _last = compiled[atom_index]
-                    if not atom_feasible(atom_index, ground(slots, chosen)):
+                    values = ground(compiled[atom_index][0], chosen)
+                    labels[atom_index] = label = check(atom_index, values)
+                    grounded[atom_index] = values
+                    if not label:
                         feasible = False
                         break
+                if feasible and depth == gate_depth:
+                    feasible = classifier.starts(labels)
             if feasible:
                 yield from expand(depth + 1)
             if is_new_fresh:

@@ -42,9 +42,12 @@ from repro.queries import (
     evaluate_boolean,
     is_certain,
 )
-from repro.queries.terms import is_variable
 from repro.chase import iter_production_plans
-from repro.core.assignments import iter_witness_assignments
+from repro.core.assignments import (
+    SubgoalClassifier,
+    compatible_with_access,
+    iter_witness_assignments,
+)
 from repro.core.containment import ContainmentOptions, SearchDeadline, decide_containment
 from repro.core.reductions import ltr_to_containment
 from repro.schema import Access, Schema
@@ -65,32 +68,6 @@ def _disjuncts(query) -> Sequence[ConjunctiveQuery]:
     if isinstance(query, PositiveQuery):
         return query.to_ucq()
     raise QueryError(f"unsupported query type {type(query)!r}")
-
-
-def _witnessable_atom_checker(disjunct, configuration, schema, access):
-    """Per-atom feasibility for the witness-assignment enumeration.
-
-    A ground subgoal can participate in a witness when it is already in the
-    configuration, can be part of the probed access's response, or lies in a
-    relation that later accesses can produce.  Atoms over relations with an
-    access method are always witnessable, so the check short-circuits to the
-    interesting cases.
-    """
-    atoms = disjunct.atoms
-    always = [schema.has_access(atom.relation.name) for atom in atoms]
-    access_relation = access.relation.name if access is not None else None
-
-    def feasible(atom_index: int, values) -> bool:
-        if always[atom_index]:
-            return True
-        atom = atoms[atom_index]
-        if configuration.contains(atom.relation.name, values):
-            return True
-        if access is not None and atom.relation.name == access_relation:
-            return access.matches(values)
-        return False
-
-    return feasible
 
 
 def find_ltr_witness_steps(
@@ -138,38 +115,16 @@ def find_ltr_witness_steps(
 
     searched: set = set()
     for disjunct in _disjuncts(query):
-        variables = disjunct.variables
-        variable_domains = disjunct.variable_domains()
-        fresh_count = max(1, len(variables))
-        for assignment in iter_witness_assignments(
+        for first_facts, later_facts in iter_witness_assignments(
             disjunct.atoms,
-            variable_domains,
+            disjunct.variable_domains(),
             configuration,
             access,
             schema=schema,
-            fresh_per_domain=fresh_count,
+            fresh_per_domain=max(1, len(disjunct.variables)),
             max_assignments=max_assignments,
-            atom_feasible=_witnessable_atom_checker(
-                disjunct, configuration, schema, access
-            ),
+            classifier=SubgoalClassifier(disjunct.atoms, configuration, schema, access),
         ):
-            first_facts: List[Fact] = []
-            later_facts: List[Fact] = []
-            feasible = True
-            for atom in disjunct.atoms:
-                values = atom.ground_values(assignment)
-                if configuration.contains(atom.relation.name, values):
-                    continue
-                if atom.relation.name == access.relation.name and access.matches(values):
-                    first_facts.append(Fact(atom.relation.name, values))
-                    continue
-                if schema.has_access(atom.relation.name):
-                    later_facts.append(Fact(atom.relation.name, values))
-                    continue
-                feasible = False
-                break
-            if not feasible or not first_facts:
-                continue
             # Distinct assignments frequently ground to the same fact sets
             # (they differ only on variables absorbed by the configuration);
             # one production-plan search per fact-set suffices.
@@ -254,7 +209,7 @@ def _ltr_via_generic_response(
     }
     if not (output_domains & consumable):
         compatible_subgoal = any(
-            _compatible_with_access(atom, access)
+            compatible_with_access(atom, access)
             for disjunct in _disjuncts(query)
             for atom in disjunct.atoms
         )
@@ -282,34 +237,19 @@ def _ltr_via_generic_response(
 
     searched: set = set()
     for disjunct in _disjuncts(query):
-        variable_domains = disjunct.variable_domains()
-        fresh_count = max(1, len(disjunct.variables))
-        for assignment in iter_witness_assignments(
+        for _first, later_facts in iter_witness_assignments(
             disjunct.atoms,
-            variable_domains,
+            disjunct.variable_domains(),
             after_first,
             None,
             schema=schema,
-            fresh_per_domain=fresh_count,
+            fresh_per_domain=max(1, len(disjunct.variables)),
             max_assignments=max_assignments,
             prefer_fresh=True,
             preferred_values=fresh_outputs,
-            atom_feasible=_witnessable_atom_checker(
-                disjunct, after_first, schema, None
-            ),
+            classifier=SubgoalClassifier(disjunct.atoms, after_first, schema),
         ):
-            later_facts: List[Fact] = []
-            feasible = True
-            for atom in disjunct.atoms:
-                atom_values = atom.ground_values(assignment)
-                if after_first.contains(atom.relation.name, atom_values):
-                    continue
-                if schema.has_access(atom.relation.name):
-                    later_facts.append(Fact(atom.relation.name, atom_values))
-                    continue
-                feasible = False
-                break
-            if not feasible or not later_facts:
+            if not later_facts:
                 continue
             search_key = frozenset(later_facts)
             if search_key in searched:
@@ -330,17 +270,6 @@ def _ltr_via_generic_response(
                     if not evaluate_boolean(query, truncated):
                         return steps
     return None
-
-
-def _compatible_with_access(atom, access: Access) -> bool:
-    """Whether a subgoal could be witnessed by the access (Proposition 3.5)."""
-    if atom.relation.name != access.relation.name:
-        return False
-    for place, bound_value in access.binding_by_place.items():
-        term = atom.terms[place]
-        if not is_variable(term) and term != bound_value:
-            return False
-    return True
 
 
 class ContainmentMemo:
@@ -487,7 +416,7 @@ def _ltr_via_containment_cq_search(
     compatible_indices = [
         index
         for index, atom in enumerate(query.atoms)
-        if _compatible_with_access(atom, access)
+        if compatible_with_access(atom, access)
     ]
     compatible_set = set(compatible_indices)
     others = [

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequ
 
 from repro.core import is_immediately_relevant, long_term_relevance_with_witness
 from repro.core.longterm_dependent import containment_cq_memo
-from repro.data import Configuration, Fact
+from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
@@ -520,11 +520,6 @@ class RelevanceOracle:
         if self._fixpoint is not None:
             self._fixpoint.absorb(response.as_facts())
 
-    def absorb_facts(self, facts: Sequence[Fact]) -> None:
-        """Advance the certainty fixpoint by already-merged facts."""
-        if self._fixpoint is not None:
-            self._fixpoint.absorb(facts)
-
     @property
     def certainty_fixpoint(self) -> Optional[CertaintyFixpoint]:
         """The attached incremental-certainty state, if enabled."""
@@ -551,15 +546,6 @@ class RelevanceOracle:
                 self._cache.put(key, bool(verdict))
                 return bool(verdict)
         return None
-
-    def cached_certainty(self, configuration: Configuration) -> Optional[bool]:
-        """The memoized certainty at ``configuration``, or ``None`` on a miss.
-
-        Unlike :meth:`is_certain` this never computes (and unlike
-        :meth:`fast_certainty` it never consults the fixpoint).
-        """
-        cached = self._cache.get(("certain", configuration.fingerprint()), _MISSING)
-        return None if cached is _MISSING else bool(cached)
 
     def adopt_certainty(self, configuration: Configuration, verdict: bool) -> None:
         """Record a certainty verdict computed outside the oracle (pool task)."""

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.data import AccessResponse, Configuration, Fact
+from repro.data import AccessResponse, Configuration
 from repro.exceptions import DeadlineExceeded
 from repro.runtime.cache import access_key
 from repro.runtime.metrics import RuntimeMetrics
@@ -105,25 +105,6 @@ class BatchResult:
         candidate set and relevance verdict — is unchanged.
         """
         return self.new_facts > 0
-
-    def delta_facts(self) -> List[Fact]:
-        """The batch's merged facts, deduplicated across responses.
-
-        Responses are merged all-or-nothing before being recorded, so the
-        post-batch configuration is exactly the pre-batch one plus these
-        facts; consumers maintaining incremental state (the certainty
-        fixpoint) can advance by this delta instead of re-reading the
-        configuration.  May still include facts the configuration already
-        had before the batch — sound for any dedup-on-absorb consumer.
-        """
-        seen: Set[Fact] = set()
-        delta: List[Fact] = []
-        for response in self.responses:
-            for fact in response.as_facts():
-                if fact not in seen:
-                    seen.add(fact)
-                    delta.append(fact)
-        return delta
 
 
 class AccessExecutor:

@@ -516,15 +516,15 @@ def bank_multi_query_scenario(
     drawn deterministically from ``seed``.  The variants share every
     navigation step (employee → office, employee → manager), so the server
     performs the shared accesses once, while the per-query witness searches
-    are the CPU-bound part: on the bank shape a fresh LTR search costs tens
-    of milliseconds (management-chain support plans), which is exactly the
-    regime where process-pool search workers pay.
+    are the CPU-bound part.  A fresh LTR search enumerates only the
+    fact-sets its access can start (about one per positive search on this
+    shape), so it costs about a millisecond; the searches that stay expensive
+    are the production-plan searches for management-chain support.
 
     Only the ``State`` and ``Offering`` constants vary.  The employee title
     is deliberately fixed: every extra ``Text``-domain constant in the shared
-    configuration multiplies the witness-assignment space of *all* queries'
-    searches (``Text`` occurs at three Employee places), degrading the batch
-    from CPU-bound to intractable.
+    configuration enlarges the witness-assignment space of *all* queries'
+    searches (``Text`` occurs at three Employee places).
     """
     from repro.sources.bank import build_bank_scenario
 

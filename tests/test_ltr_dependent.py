@@ -209,3 +209,60 @@ class TestSmallArity:
         assert is_ltr_small_arity(
             scenario.query, access, configuration, schema, chain_length_bound=6
         )
+
+
+class TestSearchWork:
+    def test_bank_batch_enumerates_only_candidates_the_access_can_start(
+        self, monkeypatch
+    ):
+        """The cold 4-query bank batch enumerates exactly the fact-sets that
+        reach a production-plan search; a probe no subgoal is compatible
+        with enumerates nothing."""
+        import repro.core.longterm_dependent as ltr_module
+        import repro.core.relevance as relevance_module
+        from repro.runtime import QueryServer
+        from repro.workloads import bank_multi_query_scenario
+
+        enumerated = []
+        plan_searches = []
+        probes = []  # [method name, binding, items enumerated, found]
+        original_iter = ltr_module.iter_witness_assignments
+        original_plans = ltr_module.iter_production_plans
+        original_search = relevance_module.find_ltr_witness_steps
+
+        def iter_witness_assignments(*args, **kwargs):
+            for item in original_iter(*args, **kwargs):
+                enumerated.append(item)
+                probes[-1][2] += 1
+                yield item
+
+        def iter_production_plans(*args, **kwargs):
+            plan_searches.append(args)
+            return original_plans(*args, **kwargs)
+
+        def find_ltr_witness_steps(query, access, *args, **kwargs):
+            probes.append([access.method.name, access.binding, 0, None])
+            steps = original_search(query, access, *args, **kwargs)
+            probes[-1][3] = steps is not None
+            return steps
+
+        monkeypatch.setattr(ltr_module, "iter_witness_assignments", iter_witness_assignments)
+        monkeypatch.setattr(ltr_module, "iter_production_plans", iter_production_plans)
+        monkeypatch.setattr(
+            relevance_module, "find_ltr_witness_steps", find_ltr_witness_steps
+        )
+        ltr_module.containment_cq_memo().clear()
+        scenario = bank_multi_query_scenario(4)
+        result = QueryServer(scenario.mediator(), search_workers=1).answer(
+            list(scenario.queries)
+        )
+
+        assert result.boolean_answers == (True, True, False, False)
+        assert len(probes) == 54
+        assert len(plan_searches) == 46
+        assert len(enumerated) == len(plan_searches)
+        negative_approvals = [
+            probe for probe in probes if probe[0] == "StateApprAcc" and not probe[3]
+        ]
+        assert len(negative_approvals) == 8
+        assert all(items == 0 for _name, _binding, items, _found in negative_approvals)

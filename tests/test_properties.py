@@ -9,7 +9,10 @@ The invariants checked here are the load-bearing ones of the paper's model:
 * immediate relevance implies long-term relevance (an increasing response is
   a length-one witness path);
 * the truncation of a path is a prefix semantically: its final configuration
-  is contained in the full path's final configuration.
+  is contained in the full path's final configuration;
+* the direct long-term relevance search, which classifies subgoals inside
+  the enumeration, finds exactly the witness of the assign-then-classify
+  search it replaced (and agrees with the independent-schema procedure).
 """
 
 from __future__ import annotations
@@ -29,11 +32,22 @@ from repro import (
     evaluate_boolean,
     is_immediately_relevant,
 )
-from repro.core import is_ltr_independent
-from repro.queries import ConjunctiveQuery
+from repro.chase import iter_production_plans
+from repro.chase.fresh import FreshConstants
+from repro.core import ContainmentOptions, is_ltr_independent
+from repro.core.assignments import compatible_with_access, iter_witness_assignments
+from repro.core.relevance import find_ltr_witness_steps
+from repro.data import Fact, is_well_formed
+from repro.queries import ConjunctiveQuery, is_certain
 from repro.queries.atoms import Atom
 from repro.queries.terms import Variable
-from repro.workloads import random_cq
+from repro.schema import Schema
+from repro.workloads import (
+    random_configuration,
+    random_cq,
+    random_instance,
+    random_schema,
+)
 
 
 def _schema():
@@ -136,3 +150,216 @@ def test_canonical_instance_satisfies_its_query(facts, query):
     from repro.queries import canonical_instance
 
     assert evaluate_boolean(query, canonical_instance(query))
+
+
+# --------------------------------------------------------------------------- #
+# Direct LTR search vs. the assign-then-classify reference
+# --------------------------------------------------------------------------- #
+def _reference_feasible(atoms, configuration, schema, access):
+    always = [schema.has_access(atom.relation.name) for atom in atoms]
+
+    def feasible(atom_index, values):
+        if always[atom_index]:
+            return True
+        atom = atoms[atom_index]
+        if configuration.contains(atom.relation.name, values):
+            return True
+        if access is not None and atom.relation.name == access.relation.name:
+            return access.matches(values)
+        return False
+
+    return feasible
+
+
+def _reference_witness(query, configuration, schema, first_response, after_first, later_facts):
+    options = ContainmentOptions()
+    for plan in iter_production_plans(
+        schema,
+        after_first,
+        later_facts,
+        max_support_facts=options.max_support_facts,
+        max_plans=options.max_plans_per_assignment,
+        support_value_choices=options.support_value_choices,
+        max_nodes=options.max_nodes,
+    ):
+        steps = (first_response,) + tuple(plan.path.steps)
+        with AccessPath(configuration, list(steps)).truncation_view() as truncated:
+            if not evaluate_boolean(query, truncated):
+                return steps
+    return None
+
+
+def _reference_ltr_steps(query, access, configuration, schema):
+    """The direct search as it was before the enumerator classified subgoals:
+    enumerate every per-atom feasible assignment, then ground and classify
+    each subgoal of it (absorbed / first / later / infeasible)."""
+    if not is_well_formed(access, configuration) or is_certain(query, configuration):
+        return None
+    atoms = query.atoms
+    searched = set()
+    for assignment in iter_witness_assignments(
+        atoms,
+        query.variable_domains(),
+        configuration,
+        access,
+        schema=schema,
+        fresh_per_domain=max(1, len(query.variables)),
+        atom_feasible=_reference_feasible(atoms, configuration, schema, access),
+    ):
+        first_facts, later_facts = [], []
+        for atom in atoms:
+            values = atom.ground_values(assignment)
+            if configuration.contains(atom.relation.name, values):
+                continue
+            if atom.relation.name == access.relation.name and access.matches(values):
+                first_facts.append(Fact(atom.relation.name, values))
+            elif schema.has_access(atom.relation.name):
+                later_facts.append(Fact(atom.relation.name, values))
+            else:
+                break
+        else:
+            key = (frozenset(first_facts), frozenset(later_facts))
+            if not first_facts or key in searched:
+                continue
+            searched.add(key)
+            first_response = AccessResponse(
+                access, tuple(fact.values for fact in first_facts)
+            )
+            steps = _reference_witness(
+                query,
+                configuration,
+                schema,
+                first_response,
+                configuration.extended_with(first_facts),
+                later_facts,
+            )
+            if steps is not None:
+                return steps
+    return _reference_generic_steps(query, access, configuration, schema)
+
+
+def _reference_generic_steps(query, access, configuration, schema):
+    """Witness shape 2 of the reference: the first access returns one generic
+    fact with fresh outputs."""
+    method = access.method
+    relation = method.relation
+    if not method.output_places:
+        return None
+    output_domains = {relation.domain_of(place) for place in method.output_places}
+    consumable = {
+        other.relation.domain_of(place)
+        for other in schema.access_methods
+        if other.dependent
+        for place in other.input_places
+    }
+    if not (output_domains & consumable) and not any(
+        compatible_with_access(atom, access) for atom in query.atoms
+    ):
+        return None
+    fresh = FreshConstants({value for value, _ in configuration.active_domain()})
+    values = [None] * relation.arity
+    for place, bound in access.binding_by_place.items():
+        values[place] = bound
+    for place in method.output_places:
+        values[place] = fresh.new(relation.domain_of(place))
+        if values[place] is None:
+            return None
+    first_response = AccessResponse(access, (tuple(values),))
+    after_first = configuration.extended_with([Fact(relation.name, tuple(values))])
+    atoms = query.atoms
+    searched = set()
+    for assignment in iter_witness_assignments(
+        atoms,
+        query.variable_domains(),
+        after_first,
+        None,
+        schema=schema,
+        fresh_per_domain=max(1, len(query.variables)),
+        prefer_fresh=True,
+        preferred_values=tuple(values[place] for place in method.output_places),
+        atom_feasible=_reference_feasible(atoms, after_first, schema, None),
+    ):
+        later_facts = []
+        for atom in atoms:
+            atom_values = atom.ground_values(assignment)
+            if after_first.contains(atom.relation.name, atom_values):
+                continue
+            if not schema.has_access(atom.relation.name):
+                break
+            later_facts.append(Fact(atom.relation.name, atom_values))
+        else:
+            if not later_facts or frozenset(later_facts) in searched:
+                continue
+            searched.add(frozenset(later_facts))
+            steps = _reference_witness(
+                query, configuration, schema, first_response, after_first, later_facts
+            )
+            if steps is not None:
+                return steps
+    return None
+
+
+@st.composite
+def ltr_inputs(draw):
+    """A random schema, configuration, Boolean CQ and access.
+
+    Some schemas are all-independent, some drop an access method (so a
+    subgoal can be infeasible), and some queries repeat the accessed relation
+    so that several subgoals are compatible with the binding.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    independent = draw(st.booleans())
+    schema = random_schema(
+        relations=3,
+        max_arity=2,
+        domains=2,
+        dependent_ratio=0.0 if independent else 0.6,
+        seed=seed,
+    )
+    methods = list(schema.access_methods)
+    method = draw(st.sampled_from(methods))
+    if draw(st.booleans()):
+        dropped = draw(st.sampled_from([m for m in methods if m is not method]))
+        schema = Schema(schema.relations, [m for m in methods if m is not dropped])
+    instance = random_instance(schema, tuples_per_relation=3, value_pool=3, seed=seed)
+    fraction = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    configuration = random_configuration(instance, fraction=fraction, seed=seed)
+    query = random_cq(
+        schema, atoms=draw(st.integers(min_value=1, max_value=3)), variables=3, seed=seed
+    )
+    relation = method.relation
+    copies = draw(st.integers(min_value=0, max_value=2))
+    if copies:
+        atoms = list(query.atoms)
+        base = next((atom for atom in atoms if atom.relation == relation), None)
+        for copy in range(copies):
+            terms = tuple(
+                base.terms[place]
+                if base is not None and draw(st.booleans())
+                else Variable(f"w{copy}_{place}")
+                for place in range(relation.arity)
+            )
+            atoms.append(Atom(relation, terms))
+        query = ConjunctiveQuery(tuple(atoms), (), query.name)
+    binding = []
+    for place in method.input_places:
+        domain = relation.domain_of(place)
+        known = sorted(
+            {value for value, value_domain in configuration.active_domain() if value_domain == domain}
+        )
+        binding.append(draw(st.sampled_from(known + [f"{domain.name.lower()}_new"])))
+    return schema, configuration, query, Access(method, tuple(binding))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=ltr_inputs())
+def test_direct_ltr_search_matches_assign_then_classify_reference(inputs):
+    schema, configuration, query, access = inputs
+    steps = find_ltr_witness_steps(
+        query, access, configuration, schema, max_assignments=None
+    )
+    assert steps == _reference_ltr_steps(query, access, configuration, schema)
+    if not any(method.dependent for method in schema.access_methods):
+        assert (steps is not None) == is_ltr_independent(
+            query, access, configuration, schema
+        )
