@@ -64,7 +64,6 @@ from repro.queries import (
 from repro.runtime import (
     AccessExecutor,
     PersistentWitnessCache,
-    ProcessRelevancePool,
     QueryOutcome,
     QueryServer,
     RelevanceOracle,
@@ -134,7 +133,6 @@ __all__ = [
     # runtime
     "AccessExecutor",
     "PersistentWitnessCache",
-    "ProcessRelevancePool",
     "QueryOutcome",
     "QueryServer",
     "RelevanceOracle",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.data import Configuration, Fact
 from repro.exceptions import QueryError, SearchBudgetExceeded
@@ -39,9 +39,8 @@ from repro.queries import (
     PositiveQuery,
     evaluate_boolean,
 )
-from repro.queries.terms import Variable
 from repro.chase import iter_production_plans
-from repro.core.assignments import iter_witness_assignments
+from repro.core.assignments import SubgoalClassifier, iter_witness_assignments
 from repro.schema import Schema
 
 __all__ = [
@@ -169,10 +168,12 @@ def find_non_containment_witness(
         query1.constants_with_domains() | query2.constants_with_domains()
     )
 
+    # Positive queries are monotone: once query2 holds here it holds on every
+    # reachable configuration, so no witness exists.
+    if evaluate_boolean(query2, configuration):
+        return None
     # The empty path: the initial configuration is reachable.
-    if evaluate_boolean(query1, configuration) and not evaluate_boolean(
-        query2, configuration
-    ):
+    if evaluate_boolean(query1, configuration):
         return ContainmentWitness(configuration.copy(), ())
 
     for disjunct in _disjuncts(query1, options):
@@ -183,15 +184,10 @@ def find_non_containment_witness(
             if options.fresh_per_domain is not None
             else max(1, len(variables))
         )
-        disjunct_atoms = disjunct.atoms
-
-        def atom_feasible(atom_index: int, values, _atoms=disjunct_atoms) -> bool:
-            atom = _atoms[atom_index]
-            return configuration.contains(
-                atom.relation.name, values
-            ) or schema.has_access(atom.relation.name)
-
-        for assignment in iter_witness_assignments(
+        # Without an access every subgoal is absorbed (already in the
+        # configuration) or a target to produce (later); a subgoal over a
+        # relation with no access method cuts the branch.
+        for _first, target_facts in iter_witness_assignments(
             disjunct.atoms,
             variable_domains,
             configuration,
@@ -199,22 +195,10 @@ def find_non_containment_witness(
             schema=schema,
             fresh_per_domain=fresh_count,
             max_assignments=options.max_assignments,
-            atom_feasible=atom_feasible,
+            classifier=SubgoalClassifier(disjunct.atoms, configuration, schema),
         ):
             if deadline is not None:
                 deadline.check()
-            target_facts = []
-            feasible = True
-            for atom in disjunct.atoms:
-                values = atom.ground_values(assignment)
-                if configuration.contains(atom.relation.name, values):
-                    continue
-                if not schema.has_access(atom.relation.name):
-                    feasible = False
-                    break
-                target_facts.append(Fact(atom.relation.name, values))
-            if not feasible:
-                continue
             if not target_facts:
                 # The disjunct holds already; only relevant if query2 fails,
                 # which the empty-path check above already covered.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from repro.runtime import ProcessRelevancePool, QueryServer, RuntimeMetrics
+from repro.runtime import QueryServer, RuntimeMetrics
 from repro.runtime.tracing import TracerLike
 from repro.sources.service import Mediator
 
@@ -73,10 +73,9 @@ def _answer_alone(
     **server_knobs,
 ) -> AnsweringResult:
     """Answer ``query`` as a one-query :class:`QueryServer` batch."""
-    with QueryServer(mediator, **server_knobs) as server:
-        result = server.answer(
-            [query], strategy=strategy, max_rounds=max_rounds, deadline_s=deadline_s
-        )
+    result = QueryServer(mediator, **server_knobs).answer(
+        [query], strategy=strategy, max_rounds=max_rounds, deadline_s=deadline_s
+    )
     (outcome,) = result.outcomes
     return AnsweringResult(
         answers=outcome.answers,
@@ -131,8 +130,6 @@ def relevance_guided_strategy(
     max_rounds: int = 50,
     metrics: Optional[RuntimeMetrics] = None,
     parallelism: int = 1,
-    search_workers: int = 1,
-    pool: Optional[ProcessRelevancePool] = None,
     cache_path: Optional[str] = None,
     cache_backend: str = "auto",
     tracer: Optional[TracerLike] = None,
@@ -148,10 +145,8 @@ def relevance_guided_strategy(
     ``rounds_exhausted``.
 
     The knobs are :class:`~repro.runtime.server.QueryServer`'s:
-    ``parallelism`` overlaps source latency within a round,
-    ``search_workers > 1`` (or an explicit ``pool``, left open) runs fresh
-    LTR searches on worker processes, and ``cache_path`` /
-    ``cache_backend`` attach a persistent witness cache so this run
+    ``parallelism`` overlaps source latency within a round, and
+    ``cache_path`` / ``cache_backend`` attach a persistent witness cache so this run
     revalidates paths recorded by earlier runs instead of searching fresh.
 
     Failures degrade the result instead of raising: an access that fails
@@ -170,8 +165,6 @@ def relevance_guided_strategy(
         use_long_term=use_long_term,
         metrics=metrics,
         parallelism=parallelism,
-        search_workers=search_workers,
-        pool=pool,
         cache_path=cache_path,
         cache_backend=cache_backend,
         tracer=tracer,

@@ -191,24 +191,6 @@ class CertaintyFixpoint:
                 self._size, self._content = size, content
             return verdict, "restarted"
 
-    def peek(self, configuration: Configuration) -> Optional[bool]:
-        """The verdict at ``configuration`` iff the lineage matches.
-
-        Never rebuilds: returns ``None`` on a lineage mismatch (or when the
-        query is unsupported), so callers that must not pay for a full
-        evaluation — the multi-query server deciding what to ship to its
-        process pool — can probe safely.
-        """
-        if self._program is None:
-            return None
-        size, content = configuration.fingerprint()[:2]
-        with self._lock:
-            evaluation = self._evaluation
-            if evaluation is not None and (size, content) == (self._size, self._content):
-                self._advanced += 1
-                return evaluation.goal_derived
-        return None
-
     def reset(self) -> None:
         """Drop the materialized state; later checks restart soundly."""
         with self._lock:

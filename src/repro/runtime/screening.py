@@ -52,8 +52,7 @@ def access_is_relevant(
 
     The query server's dispatch-time re-check of an access for each query
     that wanted it — the same policy the round's screening applied, so a
-    pooled or concurrent run performs the same access set as a sequential
-    one.
+    concurrent run performs the same access set as a sequential one.
     """
     if use_long_term and not oracle.long_term_relevant(access, configuration):
         return False

@@ -1,18 +1,8 @@
 """Wire formats and process-stable digests for the query-server runtime.
 
-Two consumers need to move the paper's objects across process boundaries:
-
-* the :class:`~repro.runtime.procpool.ProcessRelevancePool` ships relevance
-  search tasks — a query, a schema, an access, and a configuration snapshot —
-  to worker processes and merges witness paths back;
-* the :class:`~repro.runtime.persist.PersistentWitnessCache` writes witness
-  paths to disk and must key them in a way that survives restarts.
-
-Pickling the objects themselves is handled by the classes (compact
-``__reduce__`` wire formats on :class:`~repro.data.instance.Instance` and
-:class:`~repro.data.configuration.Configuration`, hash-recomputing
-``__setstate__`` on :class:`~repro.schema.domains.AbstractDomain`).  This
-module adds what pickle cannot give:
+The :class:`~repro.runtime.persist.PersistentWitnessCache` writes witness
+paths to disk and must key them in a way that survives restarts (and that
+every process sharing one store computes alike).  This module provides:
 
 * **stable tokens** — ``schema_token`` / ``query_token`` / ``access_token`` /
   ``configuration_digest`` are cryptographic digests of canonical structural
@@ -20,8 +10,7 @@ module adds what pickle cannot give:
   ``hash`` is salted per process and useless for persistent keys);
 * **witness step specs** — a witness path reduced to
   ``(method name, binding, facts)`` triples, decodable against *any* equal
-  schema (in particular the parent's schema objects after a worker found the
-  path against its own unpickled copy);
+  schema (in particular a restarted process's freshly built schema objects);
 * **a JSON value codec** — witness facts restricted to JSON-representable
   values (strings, numbers, booleans, ``None``, nested tuples/lists) so the
   persistent cache is a plain-text artifact; values outside that set raise
@@ -33,17 +22,15 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.data import AccessResponse, Configuration, Instance
+from repro.data import AccessResponse, Configuration
 from repro.exceptions import ReproError
 from repro.schema import Access, Schema
 
 __all__ = [
     "RECORD_VERSION",
     "UnencodableValueError",
-    "access_spec",
     "access_token",
     "configuration_digest",
-    "decode_access",
     "decode_json_steps",
     "decode_json_value",
     "decode_witness_record",
@@ -52,12 +39,10 @@ __all__ = [
     "encode_json_value",
     "encode_witness_record",
     "encode_witness_steps",
-    "instance_digest",
     "query_token",
     "record_digest",
     "schema_canonical",
     "schema_token",
-    "witness_digest",
 ]
 
 
@@ -113,21 +98,11 @@ def query_token(query) -> str:
     return _digest(query.canonical_form())
 
 
-def access_spec(access: Access) -> Tuple[str, Tuple[object, ...]]:
-    """The wire identity of an access: its method name and binding."""
-    return (access.method.name, tuple(access.binding))
-
-
 def access_token(access: Access) -> str:
     """A process-stable digest of an access (method name + binding reprs)."""
-    method, binding = access_spec(access)
-    return _digest((method, tuple(repr(value) for value in binding)))
-
-
-def decode_access(spec: Sequence[object], schema: Schema) -> Access:
-    """Rebuild an access from :func:`access_spec` against ``schema``."""
-    method_name, binding = spec
-    return Access(schema.access_method(method_name), tuple(binding))
+    return _digest(
+        (access.method.name, tuple(repr(value) for value in access.binding))
+    )
 
 
 def configuration_digest(configuration: Configuration) -> str:
@@ -144,11 +119,6 @@ def configuration_digest(configuration: Configuration) -> str:
         (repr(value), domain.name) for value, domain in configuration.wire_constants()
     )
     return _digest((facts, constants))
-
-
-def instance_digest(instance: Instance) -> str:
-    """A process-stable content digest of a plain instance."""
-    return _digest(tuple(sorted(instance.wire_facts().items())))
 
 
 # --------------------------------------------------------------------------- #
@@ -256,13 +226,6 @@ def decode_json_steps(
             )
         )
     return tuple(specs)
-
-
-def witness_digest(specs: Sequence[Sequence[object]]) -> str:
-    """A stable digest of a witness path spec (used to deduplicate appends)."""
-    return _digest(
-        tuple((m, tuple(b), tuple(tuple(row) for row in f)) for m, b, f in specs)
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,16 +1,11 @@
 """The answering server: the one answering loop of the runtime.
 
 A traffic-serving mediator is asked many queries about the *same* sources at
-once, and answering them one by one would waste the two things the queries
-can share:
-
-* **the configuration** — an access performed for one query grows the one
-  configuration every other query reads, so a fact retrieved once should
-  advance every query's strategy (and an access wanted by three queries
-  should be performed exactly once);
-* **the CPU** — each query's relevance searches are independent, and with a
-  :class:`~repro.runtime.procpool.ProcessRelevancePool` they run *in
-  parallel across queries* instead of sequentially under the GIL.
+once, and answering them one by one would waste what the queries share: the
+configuration.  An access performed for one query grows the one
+configuration every other query reads, so a fact retrieved once should
+advance every query's strategy (and an access wanted by three queries should
+be performed exactly once).
 
 :class:`QueryServer` is that runtime, and the single-query strategies of
 :mod:`repro.planner.dynamic` are one-query batches through it.  It owns one
@@ -24,14 +19,13 @@ restarts.
 
 A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 
-1. resolve certainty for every still-open query (pooled across queries when
-   a process pool is attached) and retire the certain ones;
+1. resolve certainty for every still-open query and retire the certain ones;
 2. enumerate the round's candidate accesses *once* against the shared
    configuration;
 3. per query: prefilter by its relevant-relation closure, group bindings by
-   configuration automorphism, and resolve the representatives' LTR verdicts
-   — submitting every query's fresh searches to the pool *before* collecting
-   any, so the searches overlap across workers;
+   configuration automorphism, and resolve the representatives' verdicts
+   through the query's :class:`~repro.runtime.cache.RelevanceOracle` (exact
+   hit → delta inheritance → witness revalidation → fresh search);
 4. union the relevant accesses of all queries (deduplicated), execute them
    as one batch through a shared :class:`~repro.runtime.executor.AccessExecutor`
    (``parallelism`` overlaps source latency), re-checking each access at
@@ -39,17 +33,15 @@ A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 5. stop early once every query is certain; otherwise loop until a round
    makes no progress.
 
-Verdicts are pure functions of configuration content, so the scheduling is
-deterministic: a server with ``search_workers=4`` returns the same answers
-and performs the same access set as one with ``search_workers=1`` — only the
-wall-clock differs.
+Verdicts are pure functions of configuration content, so a sequential batch
+(``parallelism=1``) performs the same access set on every run, and a
+concurrent one returns the same answers — only the wall-clock differs.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -61,7 +53,6 @@ from repro.runtime.executor import AccessExecutor, candidate_accesses
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
 from repro.runtime.storage import WitnessStore
-from repro.runtime.procpool import ProcessRelevancePool
 from repro.runtime.retry import Deadline
 from repro.runtime.screening import (
     CandidateScreen,
@@ -159,7 +150,6 @@ class _QueryState:
         "relevance_checks",
         "exhausted",
         "index",
-        "span_ctx",
         "round_budget",
         "access_budget",
         "rounds_used",
@@ -180,10 +170,6 @@ class _QueryState:
         #: Submission-order position; tags spans and why-annotations so a
         #: trace names queries stably even when they lack a ``name``.
         self.index = index
-        #: The query's per-round span context — later phases of the same
-        #: round (verdict resolution, pooled prefetch adoption) re-anchor
-        #: their spans under the span that screened the query's candidates.
-        self.span_ctx = None
         #: Fairness budgets (``None`` = unlimited) and the accounting they
         #: are metered against: rounds this query actively participated in,
         #: and accesses its relevance verdicts asked the batch to perform.
@@ -222,11 +208,9 @@ class QueryServer:
     use_immediate / use_long_term:
         The relevance notions each query's strategy filters accesses with:
         long-term relevance (the default), immediate relevance, or both.
-    search_workers / pool:
-        ``search_workers > 1`` builds a :class:`ProcessRelevancePool` owned
-        by the server (closed by :meth:`close`); an explicit ``pool`` is
-        attached as-is and left open.  The pool runs every query's fresh LTR
-        searches — and the per-round certainty checks — concurrently.
+    search_workers:
+        Accepted only as ``1``: every relevance search runs in-process, and
+        any other value raises :class:`ValueError`.
     cache_path / cache_backend / persist:
         A :class:`PersistentWitnessCache` path (``cache_backend`` selects
         ``"auto"`` / ``"jsonl"`` / ``"sqlite"`` storage — see
@@ -257,8 +241,8 @@ class QueryServer:
         An optional :class:`~repro.runtime.tracing.Tracer` activated for the
         duration of every :meth:`answer` call.  With one attached the server
         records the full span hierarchy — ``answer → round → certainty /
-        query → verdicts → oracle`` plus the executor's access batches — and
-        re-anchors spans shipped back from pool workers.  Without one the
+        query → verdicts → oracle`` plus the executor's access batches.
+        Without one the
         ambient (usually no-op) tracer is used and the overhead is a few
         thread-local reads per round.
     """
@@ -271,7 +255,6 @@ class QueryServer:
         use_long_term: bool = True,
         metrics: Optional[RuntimeMetrics] = None,
         search_workers: int = 1,
-        pool: Optional[ProcessRelevancePool] = None,
         cache_path: Optional[str] = None,
         cache_backend: str = "auto",
         persist: Optional[Union[PersistentWitnessCache, WitnessStore]] = None,
@@ -285,14 +268,15 @@ class QueryServer:
             raise QueryError("at least one relevance notion must be enabled")
         if cache_path is not None and persist is not None:
             raise QueryError("pass either cache_path or a persist instance, not both")
+        if search_workers != 1:
+            raise ValueError(
+                "search_workers must be 1: the process pool was removed and "
+                "every relevance search runs in-process"
+            )
         self._mediator = mediator
         self._use_immediate = use_immediate
         self._use_long_term = use_long_term
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        self._own_pool = pool is None and search_workers > 1
-        self._pool = (
-            ProcessRelevancePool(search_workers) if self._own_pool else pool
-        )
         if isinstance(persist, WitnessStore):
             persist = PersistentWitnessCache(store=persist)
         self._persist = (
@@ -337,11 +321,6 @@ class QueryServer:
         return self._metrics
 
     @property
-    def pool(self) -> Optional[ProcessRelevancePool]:
-        """The attached process pool, if any."""
-        return self._pool
-
-    @property
     def persist(self) -> Optional[PersistentWitnessCache]:
         """The attached persistent witness cache, if any."""
         return self._persist
@@ -372,9 +351,8 @@ class QueryServer:
         return store
 
     def close(self) -> None:
-        """Shut down a server-owned process pool (idempotent)."""
-        if self._own_pool and self._pool is not None:
-            self._pool.close()
+        """Release the server: a no-op (it owns no processes or threads),
+        kept so ``with`` blocks and callers that close servers work."""
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -512,7 +490,6 @@ class QueryServer:
                 metrics=self._metrics,
                 max_entries=self._max_entries,
                 store=self.store_for(boolean),
-                pool=self._pool,
                 persist=self._persist,
             )
             screen = CandidateScreen(boolean, schema, metrics=self._metrics)
@@ -530,68 +507,12 @@ class QueryServer:
         self, states: Sequence[_QueryState], configuration: Configuration
     ) -> None:
         """Update ``state.certain`` for every state (monotone, so certain
-        states are never re-checked).  With a pool attached the uncached
-        checks of different queries run concurrently on the workers.
-
-        ``fast_certainty`` resolves by exact fingerprint hit *or* by a
-        lineage-matched read of the query's certainty fixpoint — advanced
-        each batch by the merged facts — so only queries needing a full
-        (re-)evaluation are shipped to the pool or computed inline."""
-        unresolved: List[_QueryState] = []
+        states are never re-checked).  Each oracle resolves by exact hit or
+        by a delta advance of its certainty fixpoint before re-evaluating,
+        and records its own ``certainty`` span under a tracer."""
         for state in states:
-            if state.certain:
-                continue
-            cached = state.oracle.fast_certainty(configuration)
-            if cached is not None:
-                state.certain = cached
-            else:
-                unresolved.append(state)
-        if not unresolved:
-            return
-        tracer = current_tracer()
-        with tracer.span("certainty", unresolved=len(unresolved)) as span:
-            if self._pool is not None and len(unresolved) > 1:
-                trace = tracer.enabled
-                parent = span.context if trace else None
-                futures = [
-                    self._pool.submit(
-                        "certain",
-                        state.boolean,
-                        self._mediator.schema,
-                        configuration,
-                        trace=trace,
-                    )
-                    for state in unresolved
-                ]
-                for state, future in zip(unresolved, futures):
-                    # A deadlined query must not block on a slow pooled
-                    # certainty check: give the future only the query's
-                    # remaining time and leave the state uncertain on a
-                    # timeout (sound — certainty is only ever an upgrade).
-                    timeout = None
-                    if state.deadline is not None:
-                        remaining = state.deadline.remaining()
-                        if remaining != float("inf"):
-                            timeout = max(0.0, remaining)
-                    try:
-                        payload = future.result(timeout=timeout)
-                    except FuturesTimeout:
-                        self._metrics.incr("deadline.certainty_timeout")
-                        continue
-                    if trace:
-                        payload, span_specs = payload
-                        tracer.adopt_spans(span_specs, parent, query=state.index)
-                    verdict = bool(payload[0])
-                    state.oracle.adopt_certainty(configuration, verdict)
-                    state.certain = verdict
-                    self._metrics.incr("server.pool_certainty")
-            else:
-                for state in unresolved:
-                    state.certain = state.oracle.is_certain(configuration)
-            if tracer.enabled:
-                span.annotate(
-                    certain=sum(1 for state in unresolved if state.certain)
-                )
+            if not state.certain:
+                state.certain = state.oracle.is_certain(configuration)
 
     def _guided_rounds(
         self,
@@ -683,88 +604,67 @@ class QueryServer:
         )
         if tracer.enabled:
             round_span.annotate(active=len(active), candidates=len(candidates))
-        # Per query: prefilter + group, then submit every query's fresh
-        # LTR searches before collecting any — with a pool the searches
-        # of different queries overlap across the worker processes.  The
-        # prefetch is submitted inside the query's span so the workers'
-        # shipped span trees re-anchor under it.
-        grouped: List[Tuple[_QueryState, List]] = []
-        finishers = []
+        # Per query: prefilter, group, then resolve each group's verdict and
+        # union the relevant accesses.  Under a tracer every batched access
+        # also gets a *why* record — which queries wanted it and whether its
+        # verdict was computed directly or inherited from its group
+        # representative — which the executor forwards onto the access's
+        # ``source-call`` span.
+        wanted: Dict[Tuple[str, Tuple[object, ...]], List[_QueryState]] = {}
+        why: Dict[Tuple[str, Tuple[object, ...]], Dict[str, object]] = {}
+        batch_accesses: List[Access] = []
         for state in active:
             with tracer.span(
                 "query",
                 query=getattr(state.query, "name", None),
                 index=state.index,
-            ) as qspan:
+            ):
                 mine = candidates
                 if self._use_long_term:
                     mine = state.screen.prefilter(mine)
                 elif self._use_immediate and not self._use_long_term:
                     mine = state.screen.prefilter(mine, immediate_only=True)
                 groups = state.screen.group(mine, configuration)
-                grouped.append((state, groups))
-                if self._use_long_term:
-                    finishers.append(
-                        state.oracle.begin_prefetch_long_term(
-                            [representative for representative, _m in groups],
+                with tracer.span("verdicts", index=state.index) as vspan:
+                    kept = 0
+                    for representative, members in groups:
+                        state.relevance_checks += 1
+                        if not resolve_group_verdict(
+                            state.oracle,
+                            representative,
+                            members,
                             configuration,
-                        )
-                    )
-                state.span_ctx = qspan.context if tracer.enabled else None
-        for finish in finishers:
-            finish()
-
-        # Assemble each query's relevant accesses, then union them.  Under
-        # a tracer every batched access also gets a *why* record — which
-        # queries wanted it and whether its verdict was computed directly
-        # or inherited from its group representative — which the executor
-        # forwards onto the access's ``source-call`` span.
-        wanted: Dict[Tuple[str, Tuple[object, ...]], List[_QueryState]] = {}
-        why: Dict[Tuple[str, Tuple[object, ...]], Dict[str, object]] = {}
-        batch_accesses: List[Access] = []
-        for state, groups in grouped:
-            with tracer.span(
-                "verdicts", parent=state.span_ctx, index=state.index
-            ) as vspan:
-                kept = 0
-                for representative, members in groups:
-                    state.relevance_checks += 1
-                    if not resolve_group_verdict(
-                        state.oracle,
-                        representative,
-                        members,
-                        configuration,
-                        use_long_term=self._use_long_term,
-                        use_immediate=self._use_immediate,
-                    ):
-                        continue
-                    kept += 1
-                    for access in [representative] + [m for m, _map in members]:
-                        key = access_key(access)
-                        owners = wanted.get(key)
-                        if owners is None:
-                            wanted[key] = [state]
-                            batch_accesses.append(access)
-                            state.accesses_charged += 1
-                        elif state not in owners:
-                            owners.append(state)
-                            state.accesses_charged += 1
-                        if tracer.enabled:
-                            entry = why.setdefault(
-                                key,
-                                {
-                                    "why": "relevant",
-                                    "via": (
-                                        "representative"
-                                        if access is representative
-                                        else "automorphism-group"
-                                    ),
-                                    "queries": [],
-                                },
-                            )
-                            entry["queries"].append(state.index)
-                if tracer.enabled:
-                    vspan.annotate(groups=len(groups), relevant=kept)
+                            use_long_term=self._use_long_term,
+                            use_immediate=self._use_immediate,
+                        ):
+                            continue
+                        kept += 1
+                        for access in [representative] + [m for m, _map in members]:
+                            key = access_key(access)
+                            owners = wanted.get(key)
+                            if owners is None:
+                                wanted[key] = [state]
+                                batch_accesses.append(access)
+                                state.accesses_charged += 1
+                            elif state not in owners:
+                                owners.append(state)
+                                state.accesses_charged += 1
+                            if tracer.enabled:
+                                entry = why.setdefault(
+                                    key,
+                                    {
+                                        "why": "relevant",
+                                        "via": (
+                                            "representative"
+                                            if access is representative
+                                            else "automorphism-group"
+                                        ),
+                                        "queries": [],
+                                    },
+                                )
+                                entry["queries"].append(state.index)
+                    if tracer.enabled:
+                        vspan.annotate(groups=len(groups), relevant=kept)
 
         def annotate_access(access: Access) -> Optional[Dict[str, object]]:
             entry = why.get(access_key(access))
@@ -904,33 +804,10 @@ class QueryServer:
         return states, rounds, exhausted
 
     def _finalize(self, states: List[_QueryState]) -> Tuple[QueryOutcome, ...]:
-        """Evaluate every query at the final configuration (pooled when possible)."""
+        """Evaluate every query at the final configuration."""
         final = self._mediator.configuration_view
-        answer_sets: List[FrozenSet[Tuple[object, ...]]] = []
-        tracer = current_tracer()
-        with tracer.span("finalize", queries=len(states)) as span:
-            if self._pool is not None and len(states) > 1:
-                trace = tracer.enabled
-                parent = span.context if trace else None
-                futures = [
-                    self._pool.submit(
-                        "answers",
-                        state.query,
-                        self._mediator.schema,
-                        final,
-                        trace=trace,
-                    )
-                    for state in states
-                ]
-                for state, future in zip(states, futures):
-                    payload = future.result()
-                    if trace:
-                        payload, span_specs = payload
-                        tracer.adopt_spans(span_specs, parent, query=state.index)
-                    answer_sets.append(frozenset(payload[0]))
-            else:
-                for state in states:
-                    answer_sets.append(certain_answers(state.query, final))
+        with current_tracer().span("finalize", queries=len(states)):
+            answer_sets = [certain_answers(state.query, final) for state in states]
         outcomes = []
         for state, answers in zip(states, answer_sets):
             # ``certain`` is monotone, so a flag set during the rounds is

@@ -450,8 +450,8 @@ def star_join_scenario(
 
     Compared to :func:`multi_query_scenario` the joins here have *no hub*:
     every spoke access is independent of the others, so the round's
-    relevance searches — one per (query, spoke, key) orbit — dominate and
-    the process pool has real CPU-bound work to spread.
+    relevance searches — one per (query, spoke, key) orbit — dominate the
+    round's CPU time.
     """
     if atoms_per_query < 2 or atoms_per_query > spokes:
         raise ValueError("atoms_per_query must be between 2 and spokes")

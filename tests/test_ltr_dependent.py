@@ -253,9 +253,7 @@ class TestSearchWork:
         )
         ltr_module.containment_cq_memo().clear()
         scenario = bank_multi_query_scenario(4)
-        result = QueryServer(scenario.mediator(), search_workers=1).answer(
-            list(scenario.queries)
-        )
+        result = QueryServer(scenario.mediator()).answer(list(scenario.queries))
 
         assert result.boolean_answers == (True, True, False, False)
         assert len(probes) == 54
@@ -266,3 +264,34 @@ class TestSearchWork:
         ]
         assert len(negative_approvals) == 8
         assert all(items == 0 for _name, _binding, items, _found in negative_approvals)
+
+    def test_containment_with_query2_already_true_enumerates_nothing(
+        self, monkeypatch
+    ):
+        """``L1(x,y), L2(y,z) ⊑ L1(x,y)`` over a 10-fact chain: the containing
+        query already holds, so by monotonicity it holds on every reachable
+        configuration and the witness search never starts."""
+        import repro.core.containment as containment_module
+        from repro.core import decide_containment
+        from repro.workloads import chain_schema
+
+        enumerated = []
+        original_iter = containment_module.iter_witness_assignments
+
+        def iter_witness_assignments(*args, **kwargs):
+            for item in original_iter(*args, **kwargs):
+                enumerated.append(item)
+                yield item
+
+        monkeypatch.setattr(
+            containment_module, "iter_witness_assignments", iter_witness_assignments
+        )
+        schema = chain_schema(2)
+        configuration = Configuration.empty(schema)
+        for index in range(10):
+            configuration.add("L1", (f"a{index}", f"b{index}"))
+            configuration.add("L2", (f"b{index}", f"c{index}"))
+        query1 = parse_cq(schema, "L1(x, y), L2(y, z)")
+        query2 = parse_cq(schema, "L1(x, y)")
+        assert decide_containment(query1, query2, schema, configuration)
+        assert enumerated == []

@@ -1,10 +1,8 @@
 """Query-server runtime tests.
 
 Covers the multi-query mediator end to end: agreement with the single-query
-strategies, access sharing across a batch, determinism across
-``search_workers`` counts (the load-bearing property: a pooled run returns
-the same answers and performs the same access set as a single-process run),
-the persistent witness cache across simulated restarts, the store registry
+strategies, access sharing across a batch, the pinned ``search_workers=1``
+keyword, the persistent witness cache across simulated restarts, the store registry
 across ``answer`` calls, reuse of one mediator by several runs, and the
 metrics surfaces (timer call counts, cache gauges).
 """
@@ -138,31 +136,14 @@ class TestServerAgreement:
                 scenario.mediator(), use_immediate=False, use_long_term=False
             )
 
-
-# --------------------------------------------------------------------------- #
-# Determinism across search worker counts
-# --------------------------------------------------------------------------- #
-class TestSearchWorkerDeterminism:
-    def test_pooled_server_matches_single_process(self, scenario):
-        baseline_mediator = scenario.mediator()
-        with QueryServer(baseline_mediator) as baseline_server:
-            baseline = baseline_server.answer(scenario.queries)
+    def test_search_workers_accepts_only_one(self, scenario):
         mediator = scenario.mediator()
-        with QueryServer(mediator, search_workers=4) as pooled_server:
-            pooled = pooled_server.answer(scenario.queries)
-        assert pooled.answers == baseline.answers
-        assert _access_set(mediator) == _access_set(baseline_mediator)
-        assert pooled.accesses_made == baseline.accesses_made
-
-    def test_guided_strategy_search_workers_matches_single_process(self):
-        scenario = bank_multi_query_scenario(2, employees=5, offices=3, states=3)
-        query = scenario.queries[0]
-        baseline_mediator = scenario.mediator()
-        baseline = relevance_guided_strategy(baseline_mediator, query)
-        mediator = scenario.mediator()
-        pooled = relevance_guided_strategy(mediator, query, search_workers=2)
-        assert pooled.answers == baseline.answers
-        assert _access_set(mediator) == _access_set(baseline_mediator)
+        with pytest.raises(ValueError, match="process pool was removed"):
+            QueryServer(mediator, search_workers=2)
+        result = QueryServer(mediator, search_workers=1).answer(scenario.queries)
+        assert result.answers == QueryServer(scenario.mediator()).answer(
+            scenario.queries
+        ).answers
 
 
 # --------------------------------------------------------------------------- #

@@ -249,27 +249,6 @@ class TestAdmissionOverHttp:
         finally:
             handle.shutdown(drain=False)
 
-    def test_saturated_pool_sees_503(self):
-        class SaturatedPool:
-            def saturated(self, *, backlog_factor):
-                return True
-
-        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
-        handle = serve_in_background(
-            QueryServer(scenario.mediator()),
-            admission=AdmissionController(pool=SaturatedPool()),
-        )
-        try:
-            status, _, document = _request(
-                f"{handle.base_url}/queries",
-                method="POST",
-                document={"query": str(scenario.queries[0])},
-            )
-            assert status == 503
-            assert document["error"] == "pool_saturated"
-        finally:
-            handle.shutdown(drain=False)
-
     def test_draining_service_rejects_new_submissions(self):
         scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
         handle = serve_in_background(QueryServer(scenario.mediator()))
