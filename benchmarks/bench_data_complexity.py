@@ -64,11 +64,29 @@ def test_ltr_data_complexity(benchmark, size):
 @pytest.mark.experiment("P5.7-data-containment")
 @pytest.mark.parametrize("size", [10, 40])
 def test_containment_data_complexity(benchmark, size):
+    """Degenerate lane: the containing query already holds, so the monotone
+    early exit answers before any candidate is enumerated."""
     schema = chain_schema(2)
     configuration = _configuration(schema, size)
     query = parse_cq(schema, "L1(x, y), L2(y, z)")
     link = parse_cq(schema, "L1(x, y)")
     result = benchmark(
         lambda: decide_containment(query, link, schema, configuration)
+    )
+    assert result is True
+
+
+@pytest.mark.experiment("P5.7-data-containment")
+@pytest.mark.parametrize("size", [10, 40])
+def test_contained_chain_containment_data_complexity(benchmark, size):
+    """Genuinely contained lane: ``L2(z,'t')`` is false on the configuration,
+    so every candidate (14,885 at size 40) is enumerated and pruned through
+    its target facts."""
+    schema = chain_schema(2)
+    configuration = _configuration(schema, size)
+    query = parse_cq(schema, "L1(x, y), L2(y, 't')")
+    target_link = parse_cq(schema, "L2(z, 't')")
+    result = benchmark(
+        lambda: decide_containment(query, target_link, schema, configuration)
     )
     assert result is True

@@ -160,8 +160,10 @@ def test_certainty_delta_guided_bank(benchmark):
         return verdicts, metrics
 
     baseline_verdicts, _metrics = replay(False)
+    # A replay takes about a millisecond, so a single round is mostly noise
+    # for the gate; the best of five is stable.
     verdicts, metrics = benchmark.pedantic(
-        lambda: replay(True), rounds=1, iterations=1
+        lambda: replay(True), rounds=5, iterations=1
     )
     assert verdicts == baseline_verdicts
     assert verdicts[-1] == result.boolean_answer

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Configuration, containment_to_ltr, decide_containment, ltr_to_containment, parse_cq
+from repro import containment_to_ltr, decide_containment, ltr_to_containment
 from repro.core import is_ltr_direct
 from repro.workloads import containment_example_scenario, dependent_chain_scenario
 

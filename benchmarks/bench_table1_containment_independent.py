@@ -13,7 +13,7 @@ import pytest
 
 from repro import decide_containment
 from repro.queries import parse_cq
-from repro.workloads import chain_query, chain_schema
+from repro.workloads import chain_query
 
 
 def _independent_chain(length: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Access, Configuration, is_immediately_relevant
+from repro import Access, is_immediately_relevant
 from repro.workloads import random_cq, random_pq, random_schema, random_instance, random_configuration
 
 

@@ -10,7 +10,6 @@ workloads it times.
 
 from __future__ import annotations
 
-import pytest
 
 
 def pytest_configure(config):

@@ -24,7 +24,6 @@ import itertools
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -103,19 +102,14 @@ class SubgoalClassifier:
 
     def facts(self, labels, grounded) -> Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]:
         """The ``(first_facts, later_facts)`` of a fully ground disjunct."""
-        relations = self._relations
-        return (
-            tuple(
-                Fact(relations[index], values)
-                for index, values in enumerate(grounded)
-                if labels[index] == FIRST
-            ),
-            tuple(
-                Fact(relations[index], values)
-                for index, values in enumerate(grounded)
-                if labels[index] == LATER
-            ),
-        )
+        first: List[Fact] = []
+        later: List[Fact] = []
+        for relation, label, values in zip(self._relations, labels, grounded):
+            if label == FIRST:
+                first.append(Fact(relation, values))
+            elif label == LATER:
+                later.append(Fact(relation, values))
+        return tuple(first), tuple(later)
 
 
 def candidate_values(

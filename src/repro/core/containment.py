@@ -16,6 +16,14 @@ The decision procedure searches for such a witness, following the tree-like
    input needs a value that no previous access has emitted;
 3. the witness is accepted when ``Q2`` is false on the final configuration.
 
+``Q2`` is checked first on ``Conf`` itself: it is monotone, so when it holds
+there no witness exists.  Otherwise every check of ``Q2`` on a grown
+configuration — the monotone prune of a candidate's target facts, and each
+production plan's final configuration — runs through the new facts only
+(:func:`~repro.queries.evaluation.holds_through`): the facts are added to
+``Conf`` in place and removed again, so nothing is copied per candidate and
+only a returned witness materialises its configuration.
+
 The witness size for dependent accesses is exponential in the worst case
 (Theorem 5.1's tiling lower bound), so the search is *bounded*: the caller
 controls the budgets through :class:`ContainmentOptions`.  Within the budget
@@ -38,6 +46,7 @@ from repro.queries import (
     ConjunctiveQuery,
     PositiveQuery,
     evaluate_boolean,
+    holds_through,
 )
 from repro.chase import iter_production_plans
 from repro.core.assignments import SubgoalClassifier, iter_witness_assignments
@@ -149,10 +158,15 @@ def find_non_containment_witness(
     """Search for a reachable configuration satisfying ``query1`` but not ``query2``.
 
     Returns a witness, or ``None`` when no witness was found within the
-    budgets (which the caller interprets as containment).  When ``deadline``
-    is given, the assignment loop raises
-    :class:`~repro.exceptions.SearchBudgetExceeded` as soon as the shared
-    wall-clock budget is spent (anytime mode; the caller owns the fallback).
+    budgets (which the caller interprets as containment).  Each candidate
+    costs its enumeration plus a check of ``query2`` through its target
+    facts (``query2`` is false on the configuration, so a match must use a
+    target): a candidate on whose targets ``query2`` already holds is pruned
+    without copying the configuration, and each production plan's path is
+    checked the same way.  When ``deadline`` is given, the assignment loop
+    raises :class:`~repro.exceptions.SearchBudgetExceeded` as soon as the
+    shared wall-clock budget is spent (anytime mode; the caller owns the
+    fallback).
     """
     options = options or ContainmentOptions()
     configuration = (
@@ -205,8 +219,10 @@ def find_non_containment_witness(
                 continue
             # Monotone pruning: if query2 already holds on the targets alone,
             # every plan (which can only add support facts) also satisfies it.
-            direct = configuration.extended_with(target_facts)
-            if evaluate_boolean(query2, direct):
+            # query2 is false on the configuration, so it is checked through
+            # the target facts only; the view closes before the enumerator
+            # (whose classifier reads the configuration) resumes.
+            if holds_through(query2, configuration, target_facts):
                 continue
             for plan in iter_production_plans(
                 schema,
@@ -217,9 +233,10 @@ def find_non_containment_witness(
                 support_value_choices=options.support_value_choices,
                 max_nodes=options.max_nodes,
             ):
-                final = plan.final_configuration()
-                if not evaluate_boolean(query2, final):
-                    return ContainmentWitness(final, plan.all_new_facts())
+                if not holds_through(query2, configuration, plan.path.added_facts()):
+                    return ContainmentWitness(
+                        plan.final_configuration(), plan.all_new_facts()
+                    )
     return None
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
-from repro.queries import ConjunctiveQuery, PositiveQuery, is_certain
+from repro.queries import ConjunctiveQuery, is_certain
 from repro.queries.atoms import Atom
 from repro.queries.pq import AndNode, AtomNode, OrNode, PQNode
 from repro.queries.terms import Variable

@@ -18,7 +18,6 @@ exercised round-trip in the test suite and in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.data import Configuration
 from repro.exceptions import QueryError

@@ -18,7 +18,6 @@ small-arity case an explicit knob corresponding to the chain length explored.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.data import Configuration
 from repro.exceptions import QueryError

@@ -125,7 +125,14 @@ class Configuration(Instance):
         return merged
 
     def extended_with(self, facts: Iterable[Fact]) -> "Configuration":
-        """A new configuration with extra facts added (non-destructive)."""
+        """A new configuration with extra facts added (non-destructive).
+
+        This deep-copies every tuple set and index.  Callers that only
+        evaluate on the grown configuration should use
+        :meth:`~repro.data.instance.Instance.extended_view` (or
+        :func:`~repro.queries.evaluation.holds_through`) instead and skip
+        the copy.
+        """
         clone = self.copy()
         clone.add_all(facts)
         return clone

@@ -21,12 +21,14 @@ content *fingerprint* used by the memoization layer in :mod:`repro.runtime`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -218,6 +220,27 @@ class Instance:
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Add many facts; return how many were new."""
         return sum(1 for fact in facts if self.add_fact(fact))
+
+    @contextmanager
+    def extended_view(self, facts: Iterable[Fact]) -> Iterator["Instance"]:
+        """The instance grown by ``facts``, as a zero-copy view.
+
+        The facts are added in place and the ones that were new are removed
+        again, in reverse order, when the ``with`` block exits — also when
+        adding a fact raises.  :meth:`remove` exactly reverses :meth:`add`,
+        so content, fingerprint, indexes and active domain are restored.
+        The yielded object IS this instance: read it inside the block only,
+        and do not mutate or iterate it lazily from outside meanwhile.
+        """
+        added: List[Fact] = []
+        try:
+            for fact in facts:
+                if self.add_fact(fact):
+                    added.append(fact)
+            yield self
+        finally:
+            for fact in reversed(added):
+                self.remove(fact.relation, fact.values)
 
     def remove(self, relation: Union[str, Relation], values: Sequence[object]) -> bool:
         """Remove a fact, returning ``True`` if it was present."""

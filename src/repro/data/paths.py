@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.exceptions import AccessError
 from repro.data.configuration import Configuration
 from repro.data.instance import Fact, Instance
-from repro.schema import Access, AccessMethod, Schema
+from repro.schema import Access, Schema
 
 __all__ = [
     "AccessResponse",

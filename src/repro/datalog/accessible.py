@@ -33,7 +33,7 @@ arity.  The rules are:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Set
 
 from repro.data import Configuration, Instance
 from repro.datalog.engine import Database, evaluate_program

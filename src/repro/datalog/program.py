@@ -15,7 +15,7 @@ ones (the relations of the schema).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
 from repro.exceptions import QueryError
 from repro.queries.terms import Term, Variable, is_variable

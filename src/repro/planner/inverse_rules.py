@@ -21,13 +21,10 @@ from repro.datalog import (
     Rule,
     accessible_part,
     accessible_program,
-    evaluate_program,
-    query_database,
     relation_predicate,
 )
 from repro.exceptions import QueryError
 from repro.queries import ConjunctiveQuery, PositiveQuery, evaluate
-from repro.queries.terms import Variable
 from repro.schema import Schema
 
 __all__ = ["query_plan_program", "maximally_contained_answers"]

@@ -19,7 +19,7 @@ values discovered at run time — that contrast is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.queries import ConjunctiveQuery

@@ -9,6 +9,7 @@ from repro.queries.evaluation import (
     Query,
     evaluate,
     evaluate_boolean,
+    holds_through,
     satisfying_assignments,
 )
 from repro.queries.homomorphism import (
@@ -37,6 +38,7 @@ __all__ = [
     "Query",
     "evaluate",
     "evaluate_boolean",
+    "holds_through",
     "satisfying_assignments",
     "CanonicalInstance",
     "canonical_instance",

@@ -17,7 +17,7 @@ in :mod:`repro.core.containment` and behaves very differently (Example 3.2).
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 from repro.exceptions import QueryError
 from repro.queries.cq import ConjunctiveQuery

@@ -10,8 +10,9 @@ assignments onto the free variables.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple, Union
 
+from repro.data.instance import Fact
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
@@ -23,6 +24,7 @@ __all__ = [
     "Query",
     "evaluate_boolean",
     "evaluate",
+    "holds_through",
     "satisfying_assignments",
 ]
 
@@ -106,6 +108,62 @@ def evaluate_boolean(
     for _ in satisfying_assignments(query, data, partial, limit=1):
         return True
     return False
+
+
+def _unify(atom: Atom, values: Tuple[object, ...]) -> Optional[Dict[Variable, object]]:
+    """The assignment making ``atom`` ground to ``values``, or ``None``."""
+    if len(values) != len(atom.terms):
+        return None
+    seed: Dict[Variable, object] = {}
+    for term, value in zip(atom.terms, values):
+        if is_variable(term):
+            if seed.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return seed
+
+
+def holds_through(query: Query, data, delta: Iterable[Fact]) -> bool:
+    """Whether ``query`` (read as Boolean) holds on ``data`` grown by ``delta``.
+
+    Precondition: ``query`` is false on ``data`` itself.  A monotone query
+    that becomes true must then use a new fact, so a conjunctive query is
+    answered through the delta: every new fact is unified with every atom of
+    its relation, and only those seeds are extended, over ``data ∪ delta``,
+    to the remaining atoms (the semi-naive "delta literal first" join).
+    With no seed the answer is ``False``; for a one-atom query any seed
+    means ``True``.  A positive query is evaluated as a whole on the union.
+
+    ``data`` is an :class:`~repro.data.instance.Instance` (typically a
+    configuration).  The union is its
+    :meth:`~repro.data.instance.Instance.extended_view`, so nothing is
+    copied, and ``data`` is unchanged when the call returns or raises.
+    """
+    new = [fact for fact in delta if not data.contains(fact.relation, fact.values)]
+    if not new:
+        return False
+    if isinstance(query, PositiveQuery):
+        with data.extended_view(new) as union:
+            return evaluate_boolean(query, union)
+    if not isinstance(query, ConjunctiveQuery):
+        raise QueryError(f"unsupported query type: {type(query)!r}")
+    atoms = query.atoms
+    seeds = []
+    for fact in new:
+        for index, atom in enumerate(atoms):
+            if atom.relation.name != fact.relation:
+                continue
+            seed = _unify(atom, fact.values)
+            if seed is None:
+                continue
+            if len(atoms) == 1:
+                return True
+            seeds.append((atoms[:index] + atoms[index + 1:], seed))
+    if not seeds:
+        return False
+    with data.extended_view(new) as union:
+        return any(has_homomorphism(rest, union, seed) for rest, seed in seeds)
 
 
 def evaluate(

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Term, Variable, is_variable
-from repro.schema import AbstractDomain, Relation
+from repro.schema import AbstractDomain
 
 __all__ = ["PQNode", "AtomNode", "AndNode", "OrNode", "PositiveQuery"]
 

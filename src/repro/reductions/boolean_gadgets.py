@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.data import Configuration, Fact
+from repro.data import Fact
 from repro.queries.atoms import Atom
 from repro.queries.terms import Term, Variable
 from repro.schema import Relation, Schema, SchemaBuilder

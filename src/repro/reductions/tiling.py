@@ -17,7 +17,7 @@ solvable and unsolvable instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.data import Configuration, Instance
 from repro.queries import ConjunctiveQuery, parse_cq

@@ -58,7 +58,6 @@ from repro.data import (
     Configuration,
     Instance,
     is_well_formed,
-    response_from_instance,
 )
 from repro.exceptions import (
     AccessError,

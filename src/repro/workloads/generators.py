@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.data import Configuration, Instance
 from repro.schema import Schema, SchemaBuilder

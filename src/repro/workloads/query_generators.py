@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.exceptions import QueryError
 from repro.queries import ConjunctiveQuery, PositiveQuery

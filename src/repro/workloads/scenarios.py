@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.data import Configuration, Instance
-from repro.queries import ConjunctiveQuery, PositiveQuery, parse_cq, parse_pq
+from repro.queries import ConjunctiveQuery, parse_cq
 from repro.schema import Access, Schema, SchemaBuilder
 from repro.workloads.generators import chain_schema
 from repro.workloads.query_generators import chain_query, random_cq, random_pq

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro import Configuration, Fact, SchemaBuilder
 from repro.chase import FreshConstants, can_ever_produce, iter_production_plans

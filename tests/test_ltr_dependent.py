@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Access, Configuration, is_long_term_relevant, parse_cq, parse_pq
+from repro import Access, Configuration, is_long_term_relevant, parse_cq
 from repro.core import (
-    ContainmentOptions,
     is_ltr_direct,
     is_ltr_small_arity,
     is_ltr_via_containment_cq,

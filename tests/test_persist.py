@@ -40,7 +40,6 @@ from repro.runtime import (
     RelevanceOracle,
     RuntimeMetrics,
     SqliteWitnessStore,
-    open_witness_store,
     serve_in_background,
 )
 from repro.runtime.serialize import record_digest, schema_token

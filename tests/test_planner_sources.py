@@ -15,7 +15,6 @@ from repro.planner import (
     query_plan_program,
     relevance_guided_strategy,
 )
-from repro.schema import SchemaBuilder
 from repro.sources import DataSource, Mediator, build_bank_scenario, build_bank_schema
 from repro.workloads import chain_query, chain_schema
 

@@ -12,12 +12,22 @@ The invariants checked here are the load-bearing ones of the paper's model:
   is contained in the full path's final configuration;
 * the direct long-term relevance search, which classifies subgoals inside
   the enumeration, finds exactly the witness of the assign-then-classify
-  search it replaced (and agrees with the independent-schema procedure).
+  search it replaced (and agrees with the independent-schema procedure);
+* evaluating a query through a delta (``holds_through``) agrees with
+  evaluating it on a copy grown by the delta, and leaves the configuration
+  exactly as it was, also when adding a fact raises;
+* the containment witness search, which checks each candidate through its
+  target facts, finds exactly the witness of the copy-then-evaluate search it
+  replaced, and decides the size-40 contained chain case in well under a
+  second.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+import time
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -34,18 +44,31 @@ from repro import (
 )
 from repro.chase import iter_production_plans
 from repro.chase.fresh import FreshConstants
-from repro.core import ContainmentOptions, is_ltr_independent
-from repro.core.assignments import compatible_with_access, iter_witness_assignments
+from repro.core import (
+    ContainmentOptions,
+    ContainmentWitness,
+    decide_containment,
+    find_non_containment_witness,
+    is_ltr_independent,
+)
+from repro.core.assignments import (
+    SubgoalClassifier,
+    compatible_with_access,
+    iter_witness_assignments,
+)
 from repro.core.relevance import find_ltr_witness_steps
 from repro.data import Fact, is_well_formed
-from repro.queries import ConjunctiveQuery, is_certain
+from repro.exceptions import SchemaError
+from repro.queries import ConjunctiveQuery, holds_through, is_certain, parse_cq
 from repro.queries.atoms import Atom
 from repro.queries.terms import Variable
 from repro.schema import Schema
 from repro.workloads import (
+    chain_schema,
     random_configuration,
     random_cq,
     random_instance,
+    random_pq,
     random_schema,
 )
 
@@ -363,3 +386,201 @@ def test_direct_ltr_search_matches_assign_then_classify_reference(inputs):
         assert (steps is not None) == is_ltr_independent(
             query, access, configuration, schema
         )
+
+
+# --------------------------------------------------------------------------- #
+# Evaluation through a delta vs. evaluation on a grown copy
+# --------------------------------------------------------------------------- #
+def _state(configuration):
+    return (
+        configuration.fingerprint(),
+        configuration.wire_facts(),
+        configuration.active_domain(),
+        configuration.active_values_by_domain(),
+    )
+
+
+def _random_query(draw, schema, seed):
+    if draw(st.booleans()):
+        return random_pq(schema, disjuncts=2, atoms_per_disjunct=2, variables=3, seed=seed)
+    return random_cq(
+        schema, atoms=draw(st.integers(min_value=1, max_value=3)), variables=3, seed=seed
+    )
+
+
+@st.composite
+def delta_inputs(draw):
+    """A configuration, a CQ or PQ false on it, and a delta of facts.
+
+    The delta mixes facts of the source instance (some already in the
+    configuration) with one that brings values new to the active domain.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    schema = random_schema(relations=3, max_arity=2, domains=2, seed=seed)
+    instance = random_instance(schema, tuples_per_relation=4, value_pool=3, seed=seed)
+    fraction = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    configuration = random_configuration(instance, fraction=fraction, seed=seed)
+    query = _random_query(draw, schema, seed)
+    assume(not evaluate_boolean(query, configuration))
+    delta = draw(st.lists(st.sampled_from(list(instance.facts())), max_size=4))
+    if draw(st.booleans()):
+        relation = draw(st.sampled_from(schema.relations))
+        delta.append(
+            Fact(relation.name, tuple(f"new{place}" for place in range(relation.arity)))
+        )
+    return schema, configuration, query, delta
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(inputs=delta_inputs(), data=st.data())
+def test_holds_through_matches_evaluation_on_grown_copy(inputs, data):
+    schema, configuration, query, delta = inputs
+    before = _state(configuration)
+    expected = evaluate_boolean(query, configuration.extended_with(delta))
+    assert holds_through(query, configuration, delta) == expected
+    assert _state(configuration) == before
+
+    # A fact that cannot be added (wrong arity) anywhere in the delta: the
+    # call may raise, but the configuration is restored either way, and an
+    # answer it does give is the answer over the valid facts.
+    relation = data.draw(st.sampled_from(schema.relations))
+    bad = Fact(relation.name, ("bad",) * (relation.arity + 1))
+    position = data.draw(st.integers(min_value=0, max_value=len(delta)))
+    try:
+        answer = holds_through(query, configuration, delta[:position] + [bad] + delta[position:])
+    except SchemaError:
+        pass
+    else:
+        assert answer == expected
+    assert _state(configuration) == before
+    with pytest.raises(SchemaError):
+        with configuration.extended_view(delta + [bad]):
+            pass
+    assert _state(configuration) == before
+
+
+# --------------------------------------------------------------------------- #
+# Containment witness search vs. the copy-then-evaluate reference
+# --------------------------------------------------------------------------- #
+def _reference_non_containment_witness(query1, query2, schema, configuration, options):
+    """The witness search as it was before the monotone prune ran through the
+    target facts: copy the configuration grown by each candidate's targets and
+    evaluate ``query2`` on the copy, then on each plan's final configuration."""
+    configuration = configuration.with_constants(
+        query1.constants_with_domains() | query2.constants_with_domains()
+    )
+    if evaluate_boolean(query2, configuration):
+        return None
+    if evaluate_boolean(query1, configuration):
+        return ContainmentWitness(configuration.copy(), ())
+    disjuncts = (
+        (query1,)
+        if isinstance(query1, ConjunctiveQuery)
+        else query1.to_ucq(max_disjuncts=options.max_disjuncts)
+    )
+    for disjunct in disjuncts:
+        fresh_count = (
+            options.fresh_per_domain
+            if options.fresh_per_domain is not None
+            else max(1, len(disjunct.variables))
+        )
+        for _first, target_facts in iter_witness_assignments(
+            disjunct.atoms,
+            disjunct.variable_domains(),
+            configuration,
+            None,
+            schema=schema,
+            fresh_per_domain=fresh_count,
+            max_assignments=options.max_assignments,
+            classifier=SubgoalClassifier(disjunct.atoms, configuration, schema),
+        ):
+            if not target_facts:
+                continue
+            if evaluate_boolean(query2, configuration.extended_with(target_facts)):
+                continue
+            for plan in iter_production_plans(
+                schema,
+                configuration,
+                target_facts,
+                max_support_facts=options.max_support_facts,
+                max_plans=options.max_plans_per_assignment,
+                support_value_choices=options.support_value_choices,
+                max_nodes=options.max_nodes,
+            ):
+                final = plan.final_configuration()
+                if not evaluate_boolean(query2, final):
+                    return ContainmentWitness(final, plan.all_new_facts())
+    return None
+
+
+@st.composite
+def containment_inputs(draw):
+    """A random schema and configuration with two random CQs or PQs."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    schema = random_schema(
+        relations=3,
+        max_arity=2,
+        domains=2,
+        dependent_ratio=draw(st.sampled_from([0.0, 0.6])),
+        seed=seed,
+    )
+    instance = random_instance(schema, tuples_per_relation=3, value_pool=3, seed=seed)
+    fraction = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    configuration = random_configuration(instance, fraction=fraction, seed=seed)
+    query1 = _random_query(draw, schema, seed)
+    query2 = _random_query(draw, schema, seed + 1)
+    return schema, configuration, query1, query2
+
+
+#: Small plan budgets keep each example fast; both searches share them.
+PINNING_OPTIONS = ContainmentOptions(max_plans_per_assignment=4, max_nodes=200)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=containment_inputs())
+def test_containment_witness_matches_copy_then_evaluate_reference(inputs):
+    schema, configuration, query1, query2 = inputs
+    before = _state(configuration)
+    witness = find_non_containment_witness(
+        query1, query2, schema, configuration, PINNING_OPTIONS
+    )
+    reference = _reference_non_containment_witness(
+        query1, query2, schema, configuration, PINNING_OPTIONS
+    )
+    assert _state(configuration) == before
+    assert (witness is None) == (reference is None)
+    if witness is not None:
+        assert witness.new_facts == reference.new_facts
+        assert witness.configuration == reference.configuration
+        assert witness.configuration.fingerprint() == reference.configuration.fingerprint()
+
+
+def test_contained_chain_at_size_40_checks_candidates_without_copies(monkeypatch):
+    """``L1(x,y), L2(y,'t') ⊑ L2(z,'t')`` over a 40-fact chain: every one of
+    the 14,885 candidates is pruned through its target facts, so the only
+    configuration copy is the one adding the query constants, and the
+    decision takes a fraction of a second."""
+    schema = chain_schema(2)
+    configuration = Configuration.empty(schema)
+    for index in range(40):
+        configuration.add("L1", (f"a{index}", f"b{index}"))
+        configuration.add("L2", (f"b{index}", f"c{index}"))
+    query1 = parse_cq(schema, "L1(x, y), L2(y, 't')")
+    query2 = parse_cq(schema, "L2(z, 't')")
+    copies = []
+    original_copy = Configuration.copy
+
+    def counting_copy(self):
+        copies.append(self)
+        return original_copy(self)
+
+    monkeypatch.setattr(Configuration, "copy", counting_copy)
+    started = time.perf_counter()
+    assert decide_containment(query1, query2, schema, configuration)
+    elapsed = time.perf_counter() - started
+    assert len(copies) == 1
+    assert elapsed < 0.5

@@ -31,7 +31,7 @@ from repro.queries import (
     freeze_query,
     has_homomorphism,
 )
-from repro.queries.pq import AndNode, AtomNode, OrNode
+from repro.queries.pq import OrNode
 from repro.queries.terms import constants_in, is_variable, variables_in
 
 

@@ -13,11 +13,9 @@ from repro import (
     decide_containment,
     ltr_to_containment,
     parse_cq,
-    parse_pq,
 )
 from repro.core import is_ltr_direct
 from repro.exceptions import QueryError
-from repro.queries import evaluate_boolean
 from repro.reductions import (
     add_boolean_gadget,
     and_chain_atoms,

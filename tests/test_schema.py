@@ -8,9 +8,7 @@ from repro import (
     AbstractDomain,
     Access,
     AccessMethod,
-    Attribute,
     Relation,
-    Schema,
     SchemaBuilder,
 )
 from repro.exceptions import AccessError, SchemaError

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Configuration, evaluate_boolean
+from repro import evaluate_boolean
 from repro.core import is_long_term_relevant
 from repro.workloads import (
     chain_query,
